@@ -12,6 +12,7 @@ to literal zero.
 from .errors import (
     ArityError,
     ArityMismatch,
+    DegreeOverflow,
     Degenerate,
     DivisionByZero,
     IndexOutOfRange,

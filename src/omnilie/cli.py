@@ -24,6 +24,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import (
+    DegreeOverflow,
     Degenerate,
     NonInvertible,
     NotClosed,
@@ -239,12 +240,12 @@ def report_text(report):
 def cmd_verify(args):
     try:
         suite_names, ctx, raw = load_scenario(args.scenario)
-    except ScenarioError as exc:
+    except (ScenarioError, DegreeOverflow) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     try:
         entries = run_suites(suite_names, ctx)
-    except (NotClosed, Degenerate, NotHamiltonian, NonInvertible) as exc:
+    except (NotClosed, Degenerate, NotHamiltonian, NonInvertible, DegreeOverflow) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     report = render_report(entries, raw)

@@ -9,6 +9,10 @@ class IndexOutOfRange(IndexError):
     """A variable index outside 1..n."""
 
 
+class DegreeOverflow(ValueError):
+    """A monomial whose total degree exceeds the packed-exponent limit."""
+
+
 class ArityMismatch(ValueError):
     """A form was evaluated on the wrong number of derivations."""
 

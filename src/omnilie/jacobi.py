@@ -150,11 +150,9 @@ def graph(J):
     return Subbundle(gens)
 
 
-def _monomial_scalars(n, max_degree):
-    out = []
-    for mono in monomials_upto(n, max_degree):
-        out.append(Scalar(Polynomial(n, {mono: 1})))
-    return out
+def monomial_scalars(n, max_degree):
+    """The monomials of total degree <= max_degree, as scalars, in graded-lex order."""
+    return [Scalar(Polynomial(n, {mono: 1})) for mono in monomials_upto(n, max_degree)]
 
 
 def _jacobiator(J, s1, s2, s3):
@@ -178,7 +176,7 @@ def is_jacobi(J, samples=10, seed=0):
     from .scalar import random_polynomial
 
     n = J.n
-    family = _monomial_scalars(n, 2)
+    family = monomial_scalars(n, 2)
     bracket_ok = True
     witness = None
     for s1, s2, s3 in itertools.product(family, repeat=3):
@@ -229,7 +227,7 @@ def twisted_jacobi_residual(J, omega, s1, s2, s3):
 
 def is_twisted_jacobi(J, omega):
     """Exact decision of the twisted condition on the monomial spanning family."""
-    family = _monomial_scalars(J.n, 2)
+    family = monomial_scalars(J.n, 2)
     for s1, s2, s3 in itertools.product(family, repeat=3):
         residual = twisted_jacobi_residual(J, omega, s1, s2, s3)
         if not residual.is_zero():

@@ -8,6 +8,17 @@ and denominator coprime, denominator monic under graded lexicographic
 order), which makes structural equality coincide with mathematical
 equality and lets identity checks certify literal zero.
 
+A :class:`Polynomial` stores integer numerators over one common
+denominator, keyed by packed monomials: one int per monomial holding
+the total degree in its top field and the exponents of x1..xn below it,
+``_BITS`` bits per field with x1 highest.  Integer order on these keys
+is graded lexicographic order, a monomial product is one integer
+addition, and the top bit of every field is a guard bit, so monomial
+divisibility is one subtraction and one mask: the packed monomials of
+Monagan and Pearce (ISSAC 2009, JSC 2011), as in FLINT's fmpz_mpoly.
+A total degree above ``MAX_DEGREE`` raises :class:`DegreeOverflow`
+rather than carrying into the next field.
+
 Only field arithmetic, partial differentiation and gcd-based
 normalization are provided: no factorization, no floating point, no
 transcendental functions.
@@ -15,54 +26,113 @@ transcendental functions.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 
-from .errors import DivisionByZero, IndexOutOfRange
+from .errors import DegreeOverflow, DivisionByZero, IndexOutOfRange
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_BITS = 10  # bits per packed exponent field, guard bit included
+_FIELD = (1 << _BITS) - 1
+MAX_DEGREE = (1 << (_BITS - 1)) - 1  # largest total degree a monomial may have
 
 
-def _grlex(mono):
-    return (sum(mono), mono)
+def _pack(nvars, mono):
+    """Packed key of an exponent sequence; validates it first."""
+    if len(mono) != nvars:
+        raise ValueError(f"monomial {tuple(mono)} has {len(mono)} exponents, not {nvars}")
+    key = degree = 0
+    for e in mono:
+        if e < 0:
+            raise ValueError(f"negative exponent in monomial {tuple(mono)}")
+        degree += e
+        key = (key << _BITS) | (e & _FIELD)
+    if degree > MAX_DEGREE:
+        raise DegreeOverflow(
+            f"monomial {tuple(mono)} has total degree {degree}, above the limit {MAX_DEGREE}"
+        )
+    return (degree << (nvars * _BITS)) | key
+
+
+def _unpack(nvars, key):
+    return tuple(
+        (key >> ((nvars - 1 - i) * _BITS)) & _FIELD for i in range(nvars)
+    )
+
+
+def _guards(nvars):
+    """Mask of the guard bits of the nvars + 1 fields of a key."""
+    return sum(1 << (_BITS * j + _BITS - 1) for j in range(nvars + 1))
+
+
+def _monomials_of_degree(n, degree):
+    # exponent tuples of exactly this total degree, in ascending lex order
+    if n == 0:
+        if degree == 0:
+            yield ()
+        return
+    for first in range(degree + 1):
+        for rest in _monomials_of_degree(n - 1, degree - first):
+            yield (first,) + rest
 
 
 def monomials_upto(n, max_degree):
     """All exponent tuples in n variables with total degree <= max_degree,
     in ascending graded lexicographic order."""
-    out = [
-        m
-        for m in itertools.product(range(max_degree + 1), repeat=n)
-        if sum(m) <= max_degree
+    return [
+        mono
+        for degree in range(max_degree + 1)
+        for mono in _monomials_of_degree(n, degree)
     ]
-    out.sort(key=_grlex)
-    return out
 
 
 class Polynomial:
     """Sparse multivariate polynomial over Q.
 
-    ``terms`` maps exponent tuples of length ``nvars`` to nonzero
-    Fractions.  Instances are treated as immutable.
+    ``terms`` maps packed monomials (see the module docstring) to nonzero
+    integer numerators, one entry per term, over the positive common
+    denominator ``den``.  ``den`` and the numerators are coprime, so
+    every polynomial has one representation.  Instances are treated as
+    immutable; read coefficients through :meth:`coefficient` and
+    :meth:`items`.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "den")
 
     def __init__(self, nvars, terms=None):
+        """``terms`` maps exponent tuples of length ``nvars`` to rationals."""
+        coeffs = {}
+        for mono, c in (terms or {}).items():
+            key = _pack(nvars, mono)
+            c = Fraction(c)
+            if c:
+                coeffs[key] = c
+        den = reduce(lcm, (c.denominator for c in coeffs.values()), 1)
         self.nvars = nvars
         self.terms = {
-            tuple(m): Fraction(c) for m, c in (terms or {}).items() if c
+            m: c.numerator * (den // c.denominator) for m, c in coeffs.items()
         }
+        self.den = den
 
     @classmethod
-    def _raw(cls, nvars, terms):
-        # Internal constructor trusting that ``terms`` is clean.
+    def _raw(cls, nvars, terms, den=1):
+        # Internal constructor trusting that ``terms`` and ``den`` are reduced.
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
+        p.den = den
         return p
+
+    @classmethod
+    def _reduced(cls, nvars, terms, den):
+        # Internal constructor for nonzero numerators over a positive den.
+        if den != 1:
+            g = reduce(gcd, terms.values(), den)
+            if g != 1:
+                terms = {m: c // g for m, c in terms.items()}
+                den //= g
+        return cls._raw(nvars, terms, den)
 
     @classmethod
     def zero(cls, nvars):
@@ -73,105 +143,155 @@ class Polynomial:
         value = Fraction(value)
         if not value:
             return cls.zero(nvars)
-        return cls._raw(nvars, {(0,) * nvars: value})
+        return cls._raw(nvars, {0: value.numerator}, value.denominator)
 
     @classmethod
     def one(cls, nvars):
-        return cls.constant(nvars, 1)
+        return cls._raw(nvars, {0: 1})
 
     @classmethod
     def variable(cls, nvars, index):
         """The polynomial x_index, index 1-based."""
         if not 1 <= index <= nvars:
             raise IndexOutOfRange(f"variable index {index} outside 1..{nvars}")
-        mono = tuple(1 if i == index - 1 else 0 for i in range(nvars))
-        return cls._raw(nvars, {mono: _ONE})
+        key = (1 << (nvars * _BITS)) | (1 << ((nvars - index) * _BITS))
+        return cls._raw(nvars, {key: 1})
+
+    def coefficient(self, mono):
+        """The coefficient of the exponent tuple ``mono``, as a Fraction."""
+        return Fraction(self.terms.get(_pack(self.nvars, mono), 0), self.den)
+
+    def items(self):
+        """(exponent tuple, Fraction) pairs in ascending graded-lex order."""
+        return [
+            (_unpack(self.nvars, m), Fraction(self.terms[m], self.den))
+            for m in sorted(self.terms)
+        ]
 
     def is_zero(self):
         return not self.terms
 
+    def is_one(self):
+        t = self.terms
+        return len(t) == 1 and t.get(0) == 1 and self.den == 1
+
     def is_constant(self):
-        return all(sum(m) == 0 for m in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self):
-        return self.terms.get((0,) * self.nvars, _ZERO)
+        return Fraction(self.terms.get(0, 0), self.den)
 
     def total_degree(self):
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> (self.nvars * _BITS)
 
     def leading(self):
-        """(monomial, coefficient) of the graded-lex leading term."""
-        mono = max(self.terms, key=_grlex)
-        return mono, self.terms[mono]
+        """(exponent tuple, coefficient) of the graded-lex leading term."""
+        key = max(self.terms)
+        return _unpack(self.nvars, key), Fraction(self.terms[key], self.den)
 
     def monic(self):
-        if not self.terms:
+        t = self.terms
+        if not t:
             return self
-        _, lc = self.leading()
-        if lc == 1:
+        lc = t[max(t)]
+        if lc == self.den:
             return self
-        return self.scale(Fraction(1, 1) / lc)
+        if lc < 0:
+            t = {m: -c for m, c in t.items()}
+            lc = -lc
+        return Polynomial._reduced(self.nvars, t, lc)
 
     def scale(self, c):
         c = Fraction(c)
         if not c:
             return Polynomial.zero(self.nvars)
-        return Polynomial._raw(
-            self.nvars, {m: coef * c for m, coef in self.terms.items()}
-        )
+        p = c.numerator
+        terms = self.terms if p == 1 else {m: v * p for m, v in self.terms.items()}
+        return Polynomial._reduced(self.nvars, terms, self.den * c.denominator)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, _ZERO) + c
+        ta, tb = self.terms, other.terms
+        if not tb:
+            return self
+        if not ta:
+            return other
+        da, db = self.den, other.den
+        if da == db:
+            terms = dict(ta)
+        else:
+            g = gcd(da, db)
+            terms = {m: c * (db // g) for m, c in ta.items()}
+            tb = {m: c * (da // g) for m, c in tb.items()}
+            da *= db // g
+        get = terms.get
+        for m, c in tb.items():
+            s = get(m, 0) + c
             if s:
                 terms[m] = s
             else:
-                terms.pop(m, None)
-        return Polynomial._raw(self.nvars, terms)
+                del terms[m]
+        return Polynomial._reduced(self.nvars, terms, da)
 
     def __neg__(self):
-        return Polynomial._raw(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._raw(
+            self.nvars, {m: -c for m, c in self.terms.items()}, self.den
+        )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if not self.terms or not other.terms:
+        ta, tb = self.terms, other.terms
+        if not ta or not tb:
             return Polynomial.zero(self.nvars)
+        degree = (max(ta) + max(tb)) >> (self.nvars * _BITS)
+        if degree > MAX_DEGREE:
+            raise DegreeOverflow(
+                f"product of total degree {degree} is above the limit {MAX_DEGREE}"
+            )
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, _ZERO) + c1 * c2
+        get = terms.get
+        # A sum that cancels is dropped at once and re-inserted at the end
+        # if it reappears.  The gcd's content loop visits coefficients in
+        # this insertion order, which decides how many gcds it takes.
+        for m1, c1 in ta.items():
+            for m2, c2 in tb.items():
+                m = m1 + m2
+                s = get(m, 0) + c1 * c2
                 if s:
                     terms[m] = s
                 else:
-                    terms.pop(m, None)
-        return Polynomial._raw(self.nvars, terms)
+                    del terms[m]
+        return Polynomial._reduced(self.nvars, terms, self.den * other.den)
 
     def derivative(self, index):
         """Partial derivative with respect to x_index (1-based)."""
-        if not 1 <= index <= self.nvars:
-            raise IndexOutOfRange(f"variable index {index} outside 1..{self.nvars}")
-        i = index - 1
+        n = self.nvars
+        if not 1 <= index <= n:
+            raise IndexOutOfRange(f"variable index {index} outside 1..{n}")
+        shift = (n - index) * _BITS
+        step = (1 << (n * _BITS)) | (1 << shift)
         terms = {}
         for m, c in self.terms.items():
-            e = m[i]
+            e = (m >> shift) & _FIELD
             if e:
-                dm = m[:i] + (e - 1,) + m[i + 1 :]
-                terms[dm] = terms.get(dm, _ZERO) + c * e
-        return Polynomial._raw(self.nvars, {m: c for m, c in terms.items() if c})
+                terms[m - step] = c * e
+        return Polynomial._reduced(n, terms, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (
+            self.nvars == other.nvars
+            and self.den == other.den
+            and self.terms == other.terms
+        )
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.terms.items())))
 
     def __str__(self):
         return _render_poly(self)
@@ -184,10 +304,10 @@ def _render_poly(p):
     if not p.terms:
         return "0"
     parts = []
-    for mono in sorted(p.terms, key=_grlex, reverse=True):
-        c = p.terms[mono]
+    for key in sorted(p.terms, reverse=True):
+        c = Fraction(p.terms[key], p.den)
         factors = []
-        for i, e in enumerate(mono):
+        for i, e in enumerate(_unpack(p.nvars, key)):
             if e == 1:
                 factors.append(f"x{i + 1}")
             elif e > 1:
@@ -212,8 +332,11 @@ def _render_poly(p):
 #
 # Multivariate gcd by recursion on the last variable: write p in Q[x1..xk]
 # as a univariate polynomial in xk with coefficients in Q[x1..x(k-1)], take
-# contents out, and run a primitive pseudo-remainder sequence.  Inputs here
-# stay small (n <= 4, low degree), so the classical algorithm is plenty.
+# contents out, and run a primitive pseudo-remainder sequence.  A gcd is
+# only defined up to a nonzero constant, so the sequence runs on integer
+# coefficients with their common factors divided out, and the result is
+# made monic at the end.  Inputs here stay small (n <= 4, low degree), so
+# the classical algorithm is plenty.
 # ---------------------------------------------------------------------------
 
 
@@ -223,71 +346,96 @@ def divexact(f, d):
         raise DivisionByZero("exact division by the zero polynomial")
     if f.is_zero():
         return f
-    dm, dc = d.leading()
+    # Divide f's numerators by the primitive part of d's: when d divides f,
+    # Gauss's lemma makes every quotient coefficient an integer.
+    content = reduce(gcd, d.terms.values(), 0)
+    dterms = d.terms
+    if content != 1:
+        dterms = {m: c // content for m, c in dterms.items()}
+    dm = max(dterms)
+    dc = dterms[dm]
+    guards = _guards(f.nvars)
     q = {}
     rem = dict(f.terms)
     while rem:
-        rm = max(rem, key=_grlex)
-        rc = rem[rm]
-        qm = tuple(a - b for a, b in zip(rm, dm))
-        if any(e < 0 for e in qm):
+        rm = max(rem)
+        qm = rm - dm
+        qc, r = divmod(rem[rm], dc)
+        if qm & guards or r:
             raise ArithmeticError("inexact polynomial division")
-        qc = rc / dc
-        q[qm] = q.get(qm, _ZERO) + qc
-        for m, c in d.terms.items():
-            mm = tuple(a + b for a, b in zip(qm, m))
-            s = rem.get(mm, _ZERO) - qc * c
+        q[qm] = qc
+        for m, c in dterms.items():
+            mm = qm + m
+            s = rem.get(mm, 0) - qc * c
             if s:
                 rem[mm] = s
             else:
-                rem.pop(mm, None)
-    return Polynomial._raw(f.nvars, {m: c for m, c in q.items() if c})
+                del rem[mm]
+    # f / d = (F / f.den) / (content * D' / d.den) = Q' * d.den / (f.den * content)
+    if d.den != 1:
+        q = {m: c * d.den for m, c in q.items()}
+    return Polynomial._reduced(f.nvars, q, f.den * content)
+
+
+def _integer_pseudo_mod(x, y):
+    """Primitive pseudo-remainder of x by y: dicts degree -> integer."""
+    dy = max(y)
+    lcy = y[dy]
+    x = dict(x)
+    while x:
+        dx = max(x)
+        if dx < dy:
+            break
+        g = gcd(x[dx], lcy)
+        sx, sy = lcy // g, x[dx] // g
+        if sx != 1:
+            x = {k: c * sx for k, c in x.items()}
+        for k, c in y.items():
+            kk = k + dx - dy
+            s = x.get(kk, 0) - sy * c
+            if s:
+                x[kk] = s
+            else:
+                del x[kk]
+    if x:
+        g = reduce(gcd, x.values(), 0)
+        if g != 1:
+            x = {k: c // g for k, c in x.items()}
+    return x
 
 
 def _gcd_univariate(f, g):
-    # Euclid over Q for nvars == 1.
-    a = {m[0]: c for m, c in f.terms.items()}
-    b = {m[0]: c for m, c in g.terms.items()}
-
-    def mod(x, y):
-        dy = max(y)
-        lcy = y[dy]
-        x = dict(x)
-        while x and max(x) >= dy:
-            dx = max(x)
-            q = x[dx] / lcy
-            for k, c in y.items():
-                kk = k + dx - dy
-                s = x.get(kk, _ZERO) - q * c
-                if s:
-                    x[kk] = s
-                else:
-                    x.pop(kk, None)
-        return x
-
+    # Euclid for nvars == 1, on primitive integer remainders.
+    a = {m & _FIELD: c for m, c in f.terms.items()}
+    b = {m & _FIELD: c for m, c in g.terms.items()}
     while b:
-        a, b = b, mod(a, b)
-    poly = Polynomial._raw(1, {(k,): c for k, c in a.items()})
+        a, b = b, _integer_pseudo_mod(a, b)
+    poly = Polynomial._raw(1, {(k << _BITS) | k: c for k, c in a.items()})
     return poly.monic()
 
 
 def _split_last(p):
-    """Polynomial in n vars -> dict: degree in xn -> Polynomial in n-1 vars."""
+    """p in n vars -> dict: degree in xn -> Polynomial in n-1 vars.
+
+    The coefficients are taken from p's integer numerators, so the split
+    is of p times its denominator: the gcd is blind to constant factors.
+    """
+    top = (p.nvars - 1) * _BITS
     out = {}
     for m, c in p.terms.items():
-        k = m[-1]
-        coef = out.setdefault(k, {})
-        coef[m[:-1]] = c
-    return {
-        k: Polynomial._raw(p.nvars - 1, terms) for k, terms in out.items()
-    }
+        k = m & _FIELD
+        out.setdefault(k, {})[(m >> _BITS) - (k << top)] = c
+    return {k: Polynomial._raw(p.nvars - 1, terms) for k, terms in out.items()}
 
 
 def _join_last(coeffs, nvars):
+    """Inverse of _split_last, for integer coefficient polynomials."""
+    top = nvars * _BITS
     terms = {}
     for k, poly in coeffs.items():
+        high = (k << top) | k
         for m, c in poly.terms.items():
-            terms[m + (k,)] = c
+            terms[(m << _BITS) + high] = c
     return Polynomial._raw(nvars, terms)
 
 
@@ -323,15 +471,25 @@ def _uni_content(A):
 
 
 def _uni_primitive(A):
+    """A divided by its content, then scaled to coprime integer coefficients."""
     if not A:
         return A
     cont = _uni_content(A)
-    if cont.is_constant():
-        lc = cont.constant_value()
-        if lc == 1:
-            return A
-        return {k: p.scale(1 / lc) for k, p in A.items()}
-    return {k: divexact(p, cont) for k, p in A.items()}
+    if not cont.is_constant():
+        A = {k: divexact(p, cont) for k, p in A.items()}
+    den = reduce(lcm, (p.den for p in A.values()))
+    if den != 1:
+        A = {
+            k: Polynomial._raw(p.nvars, {m: c * (den // p.den) for m, c in p.terms.items()})
+            for k, p in A.items()
+        }
+    g = reduce(gcd, (c for p in A.values() for c in p.terms.values()), 0)
+    if g != 1:
+        A = {
+            k: Polynomial._raw(p.nvars, {m: c // g for m, c in p.terms.items()})
+            for k, p in A.items()
+        }
+    return A
 
 
 def poly_gcd(f, g):
@@ -355,7 +513,7 @@ def poly_gcd(f, g):
         R = _uni_prem(A, B)
         A, B = B, _uni_primitive(R)
     lifted = _join_last(A, f.nvars)
-    if not c.is_constant() or c.constant_value() != 1:
+    if not c.is_one():
         lifted = lifted * _lift(c)
     return lifted.monic()
 
@@ -363,7 +521,7 @@ def poly_gcd(f, g):
 def _lift(p):
     """Embed a polynomial in n-1 vars into n vars (exponent 0 in xn)."""
     return Polynomial._raw(
-        p.nvars + 1, {m + (0,): c for m, c in p.terms.items()}
+        p.nvars + 1, {m << _BITS: c for m, c in p.terms.items()}, p.den
     )
 
 
@@ -430,7 +588,7 @@ class Scalar:
         return self.num == self.den
 
     def is_polynomial(self):
-        return self.den == Polynomial.one(self.nvars)
+        return self.den.is_one()
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -540,18 +698,18 @@ def _normalize(num, den):
     if num.is_zero():
         return Polynomial.zero(n), Polynomial.one(n)
     if den.is_constant():
-        c = den.constant_value()
-        if c == 1:
+        if den.is_one():
             return num, den
-        return num.scale(1 / c), Polynomial.one(n)
+        return num.scale(Fraction(den.den, den.terms[0])), Polynomial.one(n)
     g = poly_gcd(num, den)
-    if not (g.is_constant() and g.constant_value() == 1):
+    if not g.is_one():
         num = divexact(num, g)
         den = divexact(den, g)
-    _, lc = den.leading()
-    if lc != 1:
-        num = num.scale(1 / lc)
-        den = den.scale(1 / lc)
+    lc = den.terms[max(den.terms)]
+    if lc != den.den:
+        c = Fraction(den.den, lc)
+        num = num.scale(c)
+        den = den.scale(c)
     return num, den
 
 
@@ -571,7 +729,7 @@ def random_polynomial(n, rng, max_degree, coeff_bound):
     for mono in monomials_upto(n, max_degree):
         c = rng.randint(-coeff_bound, coeff_bound)
         if c:
-            terms[mono] = Fraction(c)
+            terms[mono] = c
     return Scalar(Polynomial(n, terms))
 
 

@@ -20,8 +20,7 @@ from .jacobi import JacobiBiderivation
 
 def polynomial_to_obj(poly):
     terms = []
-    for mono in sorted(poly.terms):
-        c = poly.terms[mono]
+    for mono, c in sorted(poly.items()):
         terms.append(
             {
                 "num": str(c.numerator),
@@ -38,7 +37,10 @@ def polynomial_from_obj(n, obj):
         exps = tuple(int(e) for e in item["exps"])
         if len(exps) != n:
             raise ValueError(f"term with {len(exps)} exponents in a {n}-variable model")
-        c = Fraction(int(item["num"]), int(item.get("den", 1)))
+        den = int(item.get("den", 1))
+        if den == 0:
+            raise ValueError(f"term with exps {list(exps)} has a zero denominator")
+        c = Fraction(int(item["num"]), den)
         terms[exps] = terms.get(exps, Fraction(0)) + c
     return Polynomial(n, terms)
 
@@ -53,6 +55,8 @@ def scalar_to_obj(s):
 def scalar_from_obj(n, obj):
     num = polynomial_from_obj(n, obj["numerator"])
     den = polynomial_from_obj(n, obj.get("denominator", [{"num": "1", "den": "1", "exps": [0] * n}]))
+    if den.is_zero():
+        raise ValueError("denominator is the zero polynomial")
     return Scalar(num, den)
 
 

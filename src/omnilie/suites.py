@@ -80,6 +80,7 @@ from .jacobi import (
     is_twisted_jacobi,
     jacobi_bracket,
     jet_algebroid_residuals,
+    monomial_scalars,
     section_derivation,
     span_equal,
     twisted_jacobi_residual,
@@ -320,7 +321,7 @@ def _flatten_polynomials(scalars, n, deg):
         if not s.is_polynomial():
             raise ValueError("injectivity certificates expect polynomial entries")
         for mono in monos:
-            out.append(s.num.terms.get(mono, Fraction(0)))
+            out.append(s.num.coefficient(mono))
     return out
 
 
@@ -330,10 +331,6 @@ def _injective_on_truncation(basis_payloads, fn, coordinates, n, deg):
     ]
     rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
     return linalg.fraction_rank(rows) == len(cols)
-
-
-def _monomial_scalars(n, deg):
-    return [Scalar(Polynomial(n, {m: 1})) for m in monomials_upto(n, deg)]
 
 
 def run_morphism_3_9(ctx):
@@ -365,11 +362,11 @@ def run_morphism_3_9(ctx):
 
     basis = []
     for t in range(n + 1):
-        for m in _monomial_scalars(n, 2):
+        for m in monomial_scalars(n, 2):
             basis.append(
                 DSection(Derivation.basis(n, t).scale(m), AtiyahForm.zero(n, 0))
             )
-    for m in _monomial_scalars(n, 2):
+    for m in monomial_scalars(n, 2):
         basis.append(DSection(Derivation.zero(n), AtiyahForm.from_scalar(m)))
     injective = _injective_on_truncation(
         basis, morphism.phi0, section_coordinates, n, 2
@@ -457,7 +454,7 @@ def run_morphism_5_9(ctx):
 
     forms_basis = []
     for a_idx in range(n + 1):
-        for m in _monomial_scalars(n, 2):
+        for m in monomial_scalars(n, 2):
             forms_basis.append(
                 hamiltonian_form(AtiyahForm(n, 1, {(a_idx,): m}), xi)
             )
@@ -468,7 +465,7 @@ def run_morphism_5_9(ctx):
         ("phi0-injective", injective0, None if injective0 else {"error": "kernel found"})
     )
     injective1 = _injective_on_truncation(
-        _monomial_scalars(n, 2), morphism.phi1, lambda s: [s], n, 2
+        monomial_scalars(n, 2), morphism.phi1, lambda s: [s], n, 2
     )
     out.append(
         ("phi1-injective", injective1, None if injective1 else {"error": "kernel found"})

@@ -180,7 +180,7 @@ def _flatten(scalars, n, deg):
     for s in scalars:
         assert s.is_polynomial()
         for mono in monomials_upto(n, deg):
-            out.append(s.num.terms.get(mono, Fraction(0)))
+            out.append(s.num.coefficient(mono))
     return out
 
 

@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from omnilie.cli import main
 from omnilie import serialize
 from omnilie.atiyah import AtiyahForm
+from omnilie.scalar import MAX_DEGREE
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -231,3 +234,48 @@ def test_shipped_scenario_is_valid_json():
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["suites"] == "all"
     assert payload["n"] <= 2 and payload["max_degree"] <= 2
+
+
+def _form_with_scalar(value):
+    return {"degree": 2, "coeffs": [{"indices": [1, 2], "value": value}]}
+
+
+def _term(exps, num="1", den="1"):
+    return {"num": num, "den": den, "exps": exps}
+
+
+MALFORMED_SCALARS = [
+    ({"numerator": [_term([0, 0], den="0")]}, "zero denominator"),
+    ({"numerator": [_term([0, 0])], "denominator": []}, "denominator is the zero polynomial"),
+    ({"numerator": [_term([-1, 0])]}, "negative exponent"),
+    ({"numerator": [_term([MAX_DEGREE + 1, 0])]}, "above the limit"),
+]
+
+
+@pytest.mark.parametrize("value, needle", MALFORMED_SCALARS)
+def test_primitive_rejects_malformed_polynomial(tmp_path, capsys, value, needle):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": 2, **_form_with_scalar(value)}), encoding="utf-8")
+    assert main(["primitive", "--form", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: form:" in err and needle in err
+
+
+@pytest.mark.parametrize("value, needle", MALFORMED_SCALARS)
+def test_verify_rejects_malformed_polynomial(tmp_path, capsys, value, needle):
+    scenario = write_scenario(tmp_path, forms={"B": _form_with_scalar(value)})
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "forms.B" in err and needle in err
+
+
+def test_verify_rejects_products_past_the_degree_limit(tmp_path, capsys):
+    # x1^MAX_DEGREE itself is representable; multiplying it by x1 is not
+    b_form = _form_with_scalar({"numerator": [_term([MAX_DEGREE, 0])]})
+    scenario = write_scenario(
+        tmp_path, suites=["cohomologous-iso"], samples=2, forms={"B": b_form}
+    )
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert "above the limit" in capsys.readouterr().err

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omnilie.errors import DivisionByZero, IndexOutOfRange
+from omnilie.errors import DegreeOverflow, DivisionByZero, IndexOutOfRange
 from omnilie.scalar import (
+    MAX_DEGREE,
     Polynomial,
     Scalar,
     derive,
+    divexact,
     monomials_upto,
     random_scalar,
 )
@@ -52,7 +54,7 @@ def test_random_scalar_contracts():
         assert s.is_polynomial()
         assert s.num.total_degree() <= 3
         assert all(
-            abs(c) <= 5 and c.denominator == 1 for c in s.num.terms.values()
+            abs(c) <= 5 and c.denominator == 1 for _, c in s.num.items()
         )
 
 
@@ -120,3 +122,83 @@ def test_rational_arithmetic_with_python_numbers():
     (x,) = variables(1)
     assert x * Fraction(1, 2) + x / 2 == x
     assert 1 - x + x == Scalar.one(1)
+
+
+def test_monomials_upto_matches_the_filtered_product():
+    import itertools
+
+    for n in range(1, 5):
+        for max_degree in range(5):
+            old = [
+                m
+                for m in itertools.product(range(max_degree + 1), repeat=n)
+                if sum(m) <= max_degree
+            ]
+            old.sort(key=lambda m: (sum(m), m))
+            assert monomials_upto(n, max_degree) == old
+
+
+def test_coefficient_and_items_round_trip():
+    terms = {(2, 0, 1): Fraction(-3, 4), (0, 0, 0): 5, (1, 1, 0): Fraction(2, 3)}
+    p = Polynomial(3, terms)
+    assert p.items() == sorted(
+        ((m, Fraction(c)) for m, c in terms.items()), key=lambda t: (sum(t[0]), t[0])
+    )
+    assert all(isinstance(c, Fraction) for _, c in p.items())
+    for mono, c in terms.items():
+        assert p.coefficient(mono) == c
+    assert p.coefficient((0, 1, 0)) == 0
+    assert Polynomial(3, dict(p.items())) == p
+    assert p.leading() == ((2, 0, 1), Fraction(-3, 4))
+    assert Polynomial(3, {(1, 0, 0): Fraction(1, 2), (0, 1, 0): 0}).items() == [
+        ((1, 0, 0), Fraction(1, 2))
+    ]
+
+
+def test_packing_near_the_field_limit():
+    top = MAX_DEGREE
+    terms = {(top, 0): 3, (0, top): Fraction(-1, 2), (top - 1, 1): 7, (0, 0): 1}
+    p = Polynomial(2, terms)
+    assert dict(p.items()) == terms
+    assert p.total_degree() == top
+    assert str(p) == f"3*x1^{top} + 7*x1^{top - 1}*x2 - 1/2*x2^{top} + 1"
+    assert p.derivative(1).coefficient((top - 1, 0)) == 3 * top
+    assert p.derivative(2).coefficient((top - 1, 0)) == 7
+    x1 = Polynomial.variable(2, 1)
+    high = Polynomial(2, {(top - 1, 0): 1})
+    assert (high * x1).items() == [((top, 0), 1)]
+    assert divexact(high * x1, x1) == high
+    assert divexact(p * Polynomial.one(2), p) == Polynomial.one(2)
+    with pytest.raises(ArithmeticError):
+        divexact(Polynomial(2, {(top, 0): 1}), Polynomial(2, {(0, 1): 1}))
+    with pytest.raises(DegreeOverflow):
+        Polynomial(2, {(top, 0): 1}) * x1
+    with pytest.raises(DegreeOverflow):
+        Polynomial(2, {(top, 1): 1})
+
+
+def test_constructor_rejects_malformed_monomials():
+    with pytest.raises(ValueError, match="negative exponent"):
+        Polynomial(1, {(-1,): 1})
+    with pytest.raises(ValueError, match="exponents"):
+        Polynomial(2, {(1,): 1})
+    with pytest.raises(ValueError, match="above the limit"):
+        Polynomial(1, {(MAX_DEGREE + 1,): 1})
+
+
+def test_equality_and_hash_are_structural():
+    a = Polynomial(2, {(1, 0): Fraction(2, 6), (0, 1): Fraction(4, 6)})
+    b = Polynomial(2, {(1, 0): 1}).scale(Fraction(1, 3)) + Polynomial(
+        2, {(0, 1): Fraction(2, 3)}
+    )
+    assert a == b and hash(a) == hash(b)
+    assert a.scale(3) == Polynomial(2, {(1, 0): 1, (0, 1): 2})
+    assert (Scalar(a) / Scalar(a)).is_polynomial()
+    assert not (Scalar.one(2) / Scalar(a)).is_polynomial()
+
+
+def test_exact_division_by_negative_single_terms():
+    minus_one = Polynomial.constant(2, -1)
+    assert divexact(minus_one, minus_one) == Polynomial.one(2)
+    x1 = Polynomial.variable(2, 1)
+    assert divexact(x1.scale(6), x1.scale(Fraction(-3, 2))) == Polynomial.constant(2, -4)
