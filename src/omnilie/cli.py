@@ -9,19 +9,13 @@ Subcommands:
 * ``demo <name>`` prints a fixed walkthrough.
 * ``primitive --form <path>`` reads a serialized closed form and prints
   a primitive for it.
-
-``VERIFY_THREADS`` caps suite-level concurrency (0 or 1 = sequential);
-results are aggregated in scenario order so the report does not depend
-on the thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import (
     DegreeOverflow,
@@ -31,7 +25,7 @@ from .errors import (
     NotHamiltonian,
     UnknownDemo,
 )
-from .scalar import Scalar
+from .scalar import MAX_DEGREE, Scalar
 from .atiyah import AtiyahForm, differential, primitive
 from .jacobi import JacobiBiderivation, jacobi_bracket
 from .linf import kappa
@@ -48,6 +42,11 @@ def _require(condition, message):
         raise ScenarioError(message)
 
 
+def _is_int(value):
+    # JSON true/false load as bools, and bool is a subclass of int.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -59,7 +58,7 @@ def load_scenario(path):
     _require(isinstance(raw, dict), "scenario: top level must be an object")
 
     n = raw.get("n")
-    _require(isinstance(n, int) and n >= 1, "n: must be an integer >= 1")
+    _require(_is_int(n) and n >= 1, "n: must be an integer >= 1")
     suites = raw.get("suites")
     if suites == "all":
         suites = list(SUITES)
@@ -80,18 +79,18 @@ def load_scenario(path):
             )
     samples = raw.get("samples", 10)
     _require(
-        isinstance(samples, int) and samples >= 1, "samples: must be an integer >= 1"
+        _is_int(samples) and samples >= 1, "samples: must be an integer >= 1"
     )
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int), "seed: must be an integer")
+    _require(_is_int(seed), "seed: must be an integer")
     max_degree = raw.get("max_degree", 2)
     _require(
-        isinstance(max_degree, int) and max_degree >= 0,
-        "max_degree: must be a nonnegative integer",
+        _is_int(max_degree) and 0 <= max_degree <= MAX_DEGREE,
+        f"max_degree: must be an integer in 0..{MAX_DEGREE}",
     )
     coeff_bound = raw.get("coeff_bound", 3)
     _require(
-        isinstance(coeff_bound, int) and coeff_bound >= 1,
+        _is_int(coeff_bound) and coeff_bound >= 1,
         "coeff_bound: must be a positive integer",
     )
     sabotage = raw.get("sabotage")
@@ -158,29 +157,11 @@ def load_scenario(path):
     return suites, ctx, raw
 
 
-def _thread_count():
-    value = os.environ.get("VERIFY_THREADS", "0")
-    try:
-        return max(0, int(value))
-    except ValueError:
-        return 0
-
-
 def run_suites(suite_names, ctx):
     """Execute the suites, returning report entries in scenario order."""
-
-    def run_one(name):
-        return SUITES[name].runner(ctx)
-
-    threads = _thread_count()
-    if threads > 1 and len(suite_names) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, suite_names))
-    else:
-        results = [run_one(name) for name in suite_names]
-
     entries = []
-    for name, cases in zip(suite_names, results):
+    for name in suite_names:
+        cases = SUITES[name].runner(ctx)
         for index, (label, ok, witness) in enumerate(cases):
             entry = {
                 "suite": name,
@@ -237,6 +218,14 @@ def report_text(report):
     return "\n".join(lines) + "\n"
 
 
+def _degree_limit_message(ctx, exc):
+    """Name the scenario fields whose polynomials outgrew the degree limit."""
+    fields = f"max_degree {ctx.max_degree}"
+    if ctx.forms:
+        fields += " and forms " + ", ".join(sorted(ctx.forms))
+    return f"{fields}: the suites' polynomials pass the degree limit ({exc})"
+
+
 def cmd_verify(args):
     try:
         suite_names, ctx, raw = load_scenario(args.scenario)
@@ -245,8 +234,11 @@ def cmd_verify(args):
         return 2
     try:
         entries = run_suites(suite_names, ctx)
-    except (NotClosed, Degenerate, NotHamiltonian, NonInvertible, DegreeOverflow) as exc:
+    except (NotClosed, Degenerate, NotHamiltonian, NonInvertible) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except DegreeOverflow as exc:
+        print(f"input error: {_degree_limit_message(ctx, exc)}", file=sys.stderr)
         return 2
     report = render_report(entries, raw)
     if args.format == "json":

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm
 
 from .errors import DegreeOverflow, DivisionByZero, IndexOutOfRange
@@ -61,6 +61,7 @@ def _unpack(nvars, key):
     )
 
 
+@cache
 def _guards(nvars):
     """Mask of the guard bits of the nvars + 1 fields of a key."""
     return sum(1 << (_BITS * j + _BITS - 1) for j in range(nvars + 1))
@@ -212,20 +213,25 @@ class Polynomial:
         terms = self.terms if p == 1 else {m: v * p for m, v in self.terms.items()}
         return Polynomial._reduced(self.nvars, terms, self.den * c.denominator)
 
-    def __add__(self, other):
-        ta, tb = self.terms, other.terms
-        if not tb:
-            return self
-        if not ta:
-            return other
+    def _aligned(self, other):
+        # A copy of self's numerators and other's, over their common
+        # denominator, with that denominator.
         da, db = self.den, other.den
         if da == db:
-            terms = dict(ta)
-        else:
-            g = gcd(da, db)
-            terms = {m: c * (db // g) for m, c in ta.items()}
-            tb = {m: c * (da // g) for m, c in tb.items()}
-            da *= db // g
+            return dict(self.terms), other.terms, da
+        g = gcd(da, db)
+        return (
+            {m: c * (db // g) for m, c in self.terms.items()},
+            {m: c * (da // g) for m, c in other.terms.items()},
+            da * (db // g),
+        )
+
+    def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        terms, tb, den = self._aligned(other)
         get = terms.get
         for m, c in tb.items():
             s = get(m, 0) + c
@@ -233,7 +239,7 @@ class Polynomial:
                 terms[m] = s
             else:
                 del terms[m]
-        return Polynomial._reduced(self.nvars, terms, da)
+        return Polynomial._reduced(self.nvars, terms, den)
 
     def __neg__(self):
         return Polynomial._raw(
@@ -241,7 +247,21 @@ class Polynomial:
         )
 
     def __sub__(self, other):
-        return self + (-other)
+        # self + (-other) without building -other: the same terms, values
+        # and insertion order.
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        terms, tb, den = self._aligned(other)
+        get = terms.get
+        for m, c in tb.items():
+            s = get(m, 0) - c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+        return Polynomial._reduced(self.nvars, terms, den)
 
     def __mul__(self, other):
         ta, tb = self.terms, other.terms
@@ -377,41 +397,56 @@ def divexact(f, d):
     return Polynomial._reduced(f.nvars, q, f.den * content)
 
 
+_ONE_DEGREE = (1 << _BITS) + 1  # a key's step for one degree when nvars == 1
+
+
 def _integer_pseudo_mod(x, y):
-    """Primitive pseudo-remainder of x by y: dicts degree -> integer."""
-    dy = max(y)
-    lcy = y[dy]
+    """Primitive pseudo-remainder of x by y: univariate key -> integer dicts.
+
+    Works on the packed keys as they are, one degree step down at a time,
+    and scales in place: the remainder's term order flows on through the
+    gcd into later products and content loops, so it must not change.
+    """
+    ky = max(y)
+    lcy = y[ky]
     x = dict(x)
-    while x:
-        dx = max(x)
-        if dx < dy:
-            break
-        g = gcd(x[dx], lcy)
-        sx, sy = lcy // g, x[dx] // g
+    get = x.get
+    for kx in range(max(x), ky - 1, -_ONE_DEGREE):
+        c = get(kx)
+        if not c:
+            continue
+        g = gcd(c, lcy)
+        sx, sy = lcy // g, c // g
         if sx != 1:
-            x = {k: c * sx for k, c in x.items()}
-        for k, c in y.items():
-            kk = k + dx - dy
-            s = x.get(kk, 0) - sy * c
+            for k in x:
+                x[k] *= sx
+        shift = kx - ky
+        for k, cy in y.items():
+            kk = k + shift
+            s = get(kk, 0) - sy * cy
             if s:
                 x[kk] = s
             else:
                 del x[kk]
-    if x:
-        g = reduce(gcd, x.values(), 0)
-        if g != 1:
-            x = {k: c // g for k, c in x.items()}
+    g = 0
+    for c in x.values():
+        g = gcd(g, c)
+        if g == 1:
+            return x
+    if g:
+        x = {k: c // g for k, c in x.items()}
     return x
 
 
 def _gcd_univariate(f, g):
-    # Euclid for nvars == 1, on primitive integer remainders.
-    a = {m & _FIELD: c for m, c in f.terms.items()}
-    b = {m & _FIELD: c for m, c in g.terms.items()}
+    # Euclid for nvars == 1, on primitive integer remainders.  A nonzero
+    # constant remainder ends it at once: the gcd is then 1.
+    a, b = f.terms, g.terms
     while b:
+        if 0 in b and len(b) == 1:
+            return Polynomial.one(1)
         a, b = b, _integer_pseudo_mod(a, b)
-    poly = Polynomial._raw(1, {(k << _BITS) | k: c for k, c in a.items()})
-    return poly.monic()
+    return Polynomial._raw(1, a).monic()
 
 
 def _split_last(p):
@@ -439,24 +474,27 @@ def _join_last(coeffs, nvars):
     return Polynomial._raw(nvars, terms)
 
 
-def _uni_clean(d):
-    return {k: p for k, p in d.items() if not p.is_zero()}
-
-
 def _uni_prem(A, B):
     """Pseudo-remainder of A by B (both dicts degree -> coefficient poly)."""
     dB = max(B)
     lcB = B[dB]
-    R = dict(A)
-    while R and max(R) >= dB:
+    R = A
+    while R:
         dR = max(R)
+        if dR < dB:
+            break
         lcR = R[dR]
         newR = {k: c * lcB for k, c in R.items()}
         for k, c in B.items():
             kk = k + dR - dB
-            s = newR.get(kk, Polynomial.zero(c.nvars)) - c * lcR
-            newR[kk] = s
-        R = _uni_clean(newR)
+            prod = c * lcR
+            old = newR.get(kk)
+            s = -prod if old is None else old - prod
+            if s.terms:
+                newR[kk] = s
+            else:
+                del newR[kk]
+        R = newR
     return R
 
 
@@ -483,13 +521,16 @@ def _uni_primitive(A):
             k: Polynomial._raw(p.nvars, {m: c * (den // p.den) for m, c in p.terms.items()})
             for k, p in A.items()
         }
-    g = reduce(gcd, (c for p in A.values() for c in p.terms.values()), 0)
-    if g != 1:
-        A = {
-            k: Polynomial._raw(p.nvars, {m: c // g for m, c in p.terms.items()})
-            for k, p in A.items()
-        }
-    return A
+    g = 0
+    for p in A.values():
+        for c in p.terms.values():
+            g = gcd(g, c)
+            if g == 1:
+                return A
+    return {
+        k: Polynomial._raw(p.nvars, {m: c // g for m, c in p.terms.items()})
+        for k, p in A.items()
+    }
 
 
 def poly_gcd(f, g):
@@ -542,7 +583,7 @@ class Scalar:
 
     def __init__(self, num, den=None):
         if den is None:
-            den = Polynomial.one(num.nvars)
+            den = _units(num.nvars)[1]
         if den.is_zero():
             raise DivisionByZero("scalar with zero denominator")
         num, den = _normalize(num, den)
@@ -562,24 +603,21 @@ class Scalar:
 
     @classmethod
     def zero(cls, n):
-        return cls._canonical(Polynomial.zero(n), Polynomial.one(n))
+        return cls._canonical(*_units(n))
 
     @classmethod
     def one(cls, n):
-        return cls._canonical(Polynomial.one(n), Polynomial.one(n))
+        one = _units(n)[1]
+        return cls._canonical(one, one)
 
     @classmethod
     def from_fraction(cls, n, value):
-        return cls._canonical(
-            Polynomial.constant(n, Fraction(value)), Polynomial.one(n)
-        )
+        return cls._canonical(Polynomial.constant(n, Fraction(value)), _units(n)[1])
 
     @classmethod
     def variable(cls, n, index):
         """The coordinate function x_index (1-based)."""
-        return cls._canonical(
-            Polynomial.variable(n, index), Polynomial.one(n)
-        )
+        return cls._canonical(Polynomial.variable(n, index), _units(n)[1])
 
     def is_zero(self):
         return self.num.is_zero()
@@ -592,18 +630,18 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.nvars != self.nvars:
+            if other.num.nvars != self.num.nvars:
                 raise ValueError("scalars over different variable counts")
             return other
         if isinstance(other, (int, Fraction)):
-            return Scalar.from_fraction(self.nvars, other)
+            return Scalar.from_fraction(self.num.nvars, other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_polynomial() and o.is_polynomial():
+        if self.den.is_one() and o.den.is_one():
             return Scalar._canonical(self.num + o.num, self.den)
         return Scalar(self.num * o.den + o.num * self.den, self.den * o.den)
 
@@ -616,6 +654,8 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den.is_one() and o.den.is_one():
+            return Scalar._canonical(self.num - o.num, self.den)
         return self + (-o)
 
     def __rsub__(self, other):
@@ -628,8 +668,9 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_polynomial() and o.is_polynomial():
-            return Scalar(self.num * o.num)
+        if self.den.is_one() and o.den.is_one():
+            # a product of polynomials over the denominator one is canonical
+            return Scalar._canonical(self.num * o.num, self.den)
         return Scalar(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -658,9 +699,10 @@ class Scalar:
 
     def derive(self, index):
         """Exact partial derivative with respect to x_index (1-based)."""
-        if not 1 <= index <= self.nvars:
-            raise IndexOutOfRange(f"variable index {index} outside 1..{self.nvars}")
-        if self.is_polynomial():
+        nvars = self.num.nvars
+        if not 1 <= index <= nvars:
+            raise IndexOutOfRange(f"variable index {index} outside 1..{nvars}")
+        if self.den.is_one():
             return Scalar._canonical(self.num.derivative(index), self.den)
         # quotient rule
         n, d = self.num, self.den
@@ -691,16 +733,27 @@ class Scalar:
         return f"Scalar({self})"
 
 
+_UNITS = {}
+
+
+def _units(n):
+    """The shared zero and one polynomials in n variables."""
+    units = _UNITS.get(n)
+    if units is None:
+        units = _UNITS[n] = (Polynomial.zero(n), Polynomial.one(n))
+    return units
+
+
 def _normalize(num, den):
     if num.nvars != den.nvars:
         raise ValueError("numerator and denominator over different variable counts")
     n = num.nvars
     if num.is_zero():
-        return Polynomial.zero(n), Polynomial.one(n)
+        return _units(n)
     if den.is_constant():
         if den.is_one():
             return num, den
-        return num.scale(Fraction(den.den, den.terms[0])), Polynomial.one(n)
+        return num.scale(Fraction(den.den, den.terms[0])), _units(n)[1]
     g = poly_gcd(num, den)
     if not g.is_one():
         num = divexact(num, g)

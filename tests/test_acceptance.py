@@ -65,6 +65,7 @@ from omnilie.jacobi import (
     graph,
     is_jacobi,
     is_twisted_jacobi,
+    monomial_scalars,
     span_equal,
 )
 from omnilie.observables import is_involutive
@@ -167,12 +168,6 @@ def test_criterion_04_semidirect_agreement():
     announce(4, "semidirect product agreement on 200 random inputs")
 
 
-def _monomial_scalars(n, deg):
-    from omnilie.scalar import monomials_upto
-
-    return [Scalar(Polynomial(n, {m: 1})) for m in monomials_upto(n, deg)]
-
-
 def _flatten(scalars, n, deg):
     from omnilie.scalar import monomials_upto
 
@@ -204,10 +199,10 @@ def test_criterion_05_morphism_suites():
     basis = [
         DSection(Derivation.basis(2, t).scale(m), AtiyahForm.zero(2, 0))
         for t in range(3)
-        for m in _monomial_scalars(2, 2)
+        for m in monomial_scalars(2, 2)
     ] + [
         DSection(Derivation.zero(2), AtiyahForm.from_scalar(m))
-        for m in _monomial_scalars(2, 2)
+        for m in monomial_scalars(2, 2)
     ]
     assert _truncated_injective(basis, morphism.phi0, section_coordinates, 2, 2)
 
@@ -226,7 +221,7 @@ def test_criterion_05_morphism_suites():
             assert linalg.nullspace(matrix) == []
             assert not linalg.determinant(matrix).is_zero()
             assert _truncated_injective(
-                _monomial_scalars(2, 2), iso.phi1, lambda s: [s], 2, 2
+                monomial_scalars(2, 2), iso.phi1, lambda s: [s], 2, 2
             )
 
     # injective embedding of the graph observables
@@ -239,13 +234,13 @@ def test_criterion_05_morphism_suites():
     form_basis = [
         hamiltonian_form(AtiyahForm(2, 1, {(a,): m}), xi)
         for a in range(3)
-        for m in _monomial_scalars(2, 2)
+        for m in monomial_scalars(2, 2)
     ]
     assert _truncated_injective(
         form_basis, embedding.phi0, section_coordinates, 2, 2
     )
     assert _truncated_injective(
-        _monomial_scalars(2, 2), embedding.phi1, lambda s: [s], 2, 2
+        monomial_scalars(2, 2), embedding.phi1, lambda s: [s], 2, 2
     )
     announce(5, "three morphism families, 50 cases each, kernels trivial")
 

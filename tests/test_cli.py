@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -51,24 +50,6 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_verify_thread_env_does_not_change_report(tmp_path):
-    scenario = write_scenario(tmp_path, suites=["atiyah-calculus", "exact-curvature"])
-    r1 = tmp_path / "r1.json"
-    r2 = tmp_path / "r2.json"
-    old = os.environ.get("VERIFY_THREADS")
-    try:
-        os.environ["VERIFY_THREADS"] = "0"
-        assert main(["verify", "--scenario", str(scenario), "--report", str(r1)]) == 0
-        os.environ["VERIFY_THREADS"] = "4"
-        assert main(["verify", "--scenario", str(scenario), "--report", str(r2)]) == 0
-    finally:
-        if old is None:
-            os.environ.pop("VERIFY_THREADS", None)
-        else:
-            os.environ["VERIFY_THREADS"] = old
-    assert r1.read_bytes() == r2.read_bytes()
-
-
 def test_verify_sabotage_exits_one_with_witness(tmp_path):
     scenario = write_scenario(
         tmp_path, suites=["linf-oracle"], samples=2, sabotage="drop-l3"
@@ -90,6 +71,7 @@ def test_verify_rejects_bad_scenarios(tmp_path, capsys):
         ({"samples": 0}, "samples"),
         ({"suites": ["morphism-5-9"], "n": 1}, "morphism-5-9"),
         ({"sabotage": "zap"}, "sabotage"),
+        ({"max_degree": MAX_DEGREE + 1}, f"max_degree: must be an integer in 0..{MAX_DEGREE}"),
     ]
     for overrides, needle in cases:
         scenario = write_scenario(tmp_path, **overrides)
@@ -278,4 +260,27 @@ def test_verify_rejects_products_past_the_degree_limit(tmp_path, capsys):
     )
     rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
     assert rc == 2
-    assert "above the limit" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "above the limit" in err
+    assert "max_degree 1 and forms B" in err
+
+
+def test_verify_names_max_degree_when_products_pass_the_limit(tmp_path, capsys):
+    # every monomial fits the limit, but squaring one of degree 300 does not
+    scenario = write_scenario(
+        tmp_path, n=1, suites=["atiyah-calculus"], samples=1, max_degree=300
+    )
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "max_degree 300" in err and "above the limit" in err
+    assert "forms" not in err
+
+
+@pytest.mark.parametrize("field", ["n", "samples", "seed", "max_degree", "coeff_bound"])
+def test_verify_rejects_boolean_integers(tmp_path, capsys, field):
+    # JSON true loads as a bool, which Python counts as the int 1
+    scenario = write_scenario(tmp_path, **{field: True})
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert f"input error: {field}:" in capsys.readouterr().err

@@ -202,3 +202,58 @@ def test_exact_division_by_negative_single_terms():
     assert divexact(minus_one, minus_one) == Polynomial.one(2)
     x1 = Polynomial.variable(2, 1)
     assert divexact(x1.scale(6), x1.scale(Fraction(-3, 2))) == Polynomial.constant(2, -4)
+
+
+@st.composite
+def difference_pairs(draw):
+    """Two polynomials whose terms come in drawn orders.  The second repeats
+    some of the first's terms, so their difference cancels them."""
+    monos = monomials_upto(2, 3)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    a_terms = draw(st.dictionaries(st.sampled_from(monos), coeffs, max_size=6))
+    shared = draw(st.lists(st.sampled_from(sorted(a_terms)), unique=True)) if a_terms else []
+    b_terms = {m: a_terms[m] for m in shared}
+    b_terms.update(draw(st.dictionaries(st.sampled_from(monos), coeffs, max_size=6)))
+    order = draw(st.permutations(list(b_terms)))
+    return Polynomial(2, a_terms), Polynomial(2, {m: b_terms[m] for m in order})
+
+
+@settings(max_examples=200, deadline=None)
+@given(difference_pairs())
+def test_subtraction_is_addition_of_the_negation(pair):
+    # The gcd's content loop visits terms in insertion order, so a - b must
+    # match a + (-b) in term order as well as in value.
+    a, b = pair
+    diff, reference = a - b, a + (-b)
+    assert diff == reference
+    assert list(diff.terms) == list(reference.terms)
+    sa, sb = Scalar(a), Scalar(b)
+    assert list((sa - sb).num.terms) == list((sa + (-sb)).num.terms)
+
+
+def test_counted_operations_match_the_recorded_counts(monkeypatch):
+    # Multiplies, coefficient products and gcd calls of a small jacobi run,
+    # as the benchmark's tracer counts them.  The counts depend on the term
+    # order of every product, sum and difference, so a change that reorders
+    # terms or adds or drops a counted operation shows here.
+    from omnilie import scalar
+    from omnilie.suites import SUITES, SuiteContext
+
+    counts = {"poly_mul": 0, "coeff_products": 0, "gcd": 0}
+    mul, gcd = scalar.Polynomial.__mul__, scalar.poly_gcd
+
+    def counted_mul(a, b):
+        counts["poly_mul"] += 1
+        counts["coeff_products"] += len(a.terms) * len(b.terms)
+        return mul(a, b)
+
+    def counted_gcd(f, g):
+        counts["gcd"] += 1
+        return gcd(f, g)
+
+    monkeypatch.setattr(scalar.Polynomial, "__mul__", counted_mul)
+    monkeypatch.setattr(scalar, "poly_gcd", counted_gcd)
+    ctx = SuiteContext(n=3, samples=1, seed=20240611, max_degree=2, coeff_bound=2)
+    cases = SUITES["jacobi"].runner(ctx)
+    assert len(cases) == 5 and all(ok for _, ok, _ in cases)
+    assert counts == {"poly_mul": 6584, "coeff_products": 52549, "gcd": 1848}

@@ -114,6 +114,35 @@ def test_gcd_matches_sympy(f, g, common):
     assert ours.leading()[1] == 1
 
 
+@st.composite
+def univariate(draw, max_degree=4, max_terms=4):
+    """Nonzero polynomials in x1 alone, often with gaps between degrees."""
+    exps = draw(
+        st.lists(st.integers(0, max_degree), min_size=1, max_size=max_terms, unique=True)
+    )
+    return Polynomial(1, {(e,): draw(coefficients) for e in exps})
+
+
+def univariate_to_sympy(p):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * XS[0] ** e for (e,), c in p.items()),
+        sympy.Integer(0),
+    )
+
+
+@ORACLE
+@given(univariate(), univariate(), univariate(max_degree=3, max_terms=3))
+def test_univariate_gcd_matches_sympy(f, g, common):
+    # one variable runs the integer pseudo-remainder sequence directly
+    f, g = f * common, g * common
+    expected = sympy.Poly(
+        sympy.gcd(univariate_to_sympy(f), univariate_to_sympy(g)), XS[0]
+    ).monic()
+    assert poly_gcd(f, g) == Polynomial(
+        1, {e: Fraction(int(c.p), int(c.q)) for e, c in expected.terms()}
+    )
+
+
 @ORACLE
 @given(polynomials(), polynomials())
 def test_exact_division_matches_sympy(f, g):
