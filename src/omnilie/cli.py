@@ -33,6 +33,14 @@ from . import serialize
 from .suites import SUITES, SuiteContext
 
 
+# Size caps of a scenario, far above the shipped and benchmark scenarios
+# (n <= 3, samples <= 32, at most three small forms).
+MAX_N = 8
+MAX_SAMPLES = 1000
+MAX_FORMS = 8
+MAX_FORM_TERMS = 4096
+
+
 class ScenarioError(ValueError):
     """Malformed scenario input; the message names the offending field."""
 
@@ -58,7 +66,7 @@ def load_scenario(path):
     _require(isinstance(raw, dict), "scenario: top level must be an object")
 
     n = raw.get("n")
-    _require(_is_int(n) and n >= 1, "n: must be an integer >= 1")
+    _require(_is_int(n) and 1 <= n <= MAX_N, f"n: must be an integer in 1..{MAX_N}")
     suites = raw.get("suites")
     if suites == "all":
         suites = list(SUITES)
@@ -79,7 +87,8 @@ def load_scenario(path):
             )
     samples = raw.get("samples", 10)
     _require(
-        _is_int(samples) and samples >= 1, "samples: must be an integer >= 1"
+        _is_int(samples) and 1 <= samples <= MAX_SAMPLES,
+        f"samples: must be an integer in 1..{MAX_SAMPLES}",
     )
     seed = raw.get("seed", 0)
     _require(_is_int(seed), "seed: must be an integer")
@@ -99,12 +108,25 @@ def load_scenario(path):
         "sabotage: only 'drop-l3' is recognized",
     )
 
+    raw_forms = raw.get("forms") or {}
+    _require(isinstance(raw_forms, dict), "forms: must be an object")
+    _require(
+        len(raw_forms) <= MAX_FORMS,
+        f"forms: {len(raw_forms)} forms, above the limit {MAX_FORMS}",
+    )
     forms = {}
-    for name, obj in (raw.get("forms") or {}).items():
+    for name, obj in raw_forms.items():
         try:
             form = serialize.form_from_obj(n, obj)
         except (ValueError, KeyError, TypeError) as exc:
             raise ScenarioError(f"forms.{name}: {exc}") from exc
+        terms = len(form.coeffs) + sum(
+            len(v.num.terms) + len(v.den.terms) for v in form.coeffs.values()
+        )
+        _require(
+            terms <= MAX_FORM_TERMS,
+            f"forms.{name}: {terms} coefficients and terms, above the limit {MAX_FORM_TERMS}",
+        )
         _require(
             0 <= form.degree <= n + 1,
             f"forms.{name}: degree {form.degree} outside 0..{n + 1}",

@@ -344,12 +344,11 @@ def gauge_jacobi(J, b_form):
         ]
         for a in range(n + 1)
     ]
-    det = linalg.determinant(system)
-    if det.is_zero():
-        raise NonInvertible(
-            "the jet-bundle endomorphism is singular", determinant=str(det)
-        )
     inv = linalg.inverse(system)
+    if inv is None:
+        raise NonInvertible(
+            "the jet-bundle endomorphism is singular", determinant="0"
+        )
     new_sharp = linalg.matmul(M, inv)
     matrix = [
         [new_sharp[b][a] for b in range(n + 1)] for a in range(n + 1)

@@ -1,8 +1,10 @@
 """Exact Gaussian elimination over the rational-function field.
 
-Matrices are lists of rows of Scalars.  Pivots are chosen by least
-column index and first nonzero row, so solutions and nullspace bases
-are deterministic; free variables are set to zero.
+Matrices are lists of rows of Scalars.  Columns are reduced from left
+to right to the reduced row-echelon form, which does not depend on which
+row of a column is the pivot; free variables are set to zero.  The pivot
+is a nonzero constant where the column has one, so row operations scale
+by numbers instead of normalizing rational functions.
 """
 
 from __future__ import annotations
@@ -16,19 +18,31 @@ def _clone(matrix):
     return [list(row) for row in matrix]
 
 
-def _eliminate(rows):
-    """Row-reduce in place; returns pivot (row, col) pairs."""
+def _is_constant(v):
+    return v.den.is_one() and v.num.is_constant() and not v.is_zero()
+
+
+def _eliminate(rows, ncols=None):
+    """Row-reduce in place; returns pivot (row, col) pairs.
+
+    Pivots are taken in the first ``ncols`` columns (all by default).
+    The pivot of a column is its first remaining row holding a nonzero
+    constant, or its first nonzero remaining row if there is none.
+    """
     if not rows:
         return []
-    ncols = len(rows[0])
+    if ncols is None:
+        ncols = len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
+        pivot_row = next(
+            (i for i in range(r, len(rows)) if _is_constant(rows[i][c])), None
+        )
+        if pivot_row is None:
+            pivot_row = next(
+                (i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None
+            )
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
@@ -63,10 +77,9 @@ def solve_least(matrix, rhs):
     n = matrix[0][0].nvars
     ncols = len(matrix[0])
     rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = _eliminate(rows)
-    for r, c in pivots:
-        if c == ncols:
-            return None
+    pivots = _eliminate(rows, ncols)
+    if any(not row[ncols].is_zero() for row in rows[len(pivots):]):
+        return None
     solution = [Scalar.zero(n)] * ncols
     for r, c in pivots:
         solution[c] = rows[r][ncols]
@@ -134,8 +147,7 @@ def inverse(matrix):
         ]
         for i, row in enumerate(matrix)
     ]
-    pivots = _eliminate(aug)
-    if len(pivots) < size or any(c >= size for _, c in pivots):
+    if len(_eliminate(aug, size)) < size:
         return None
     return [row[size:] for row in aug]
 

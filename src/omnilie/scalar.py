@@ -508,11 +508,15 @@ def _uni_content(A):
     return g.monic()
 
 
-def _uni_primitive(A):
-    """A divided by its content, then scaled to coprime integer coefficients."""
+def _uni_primitive(A, cont=None):
+    """A divided by its content, then scaled to coprime integer coefficients.
+
+    ``cont`` is A's content when the caller has it already.
+    """
     if not A:
         return A
-    cont = _uni_content(A)
+    if cont is None:
+        cont = _uni_content(A)
     if not cont.is_constant():
         A = {k: divexact(p, cont) for k, p in A.items()}
     den = reduce(lcm, (p.den for p in A.values()))
@@ -548,8 +552,8 @@ def poly_gcd(f, g):
     cA = _uni_content(A)
     cB = _uni_content(B)
     c = poly_gcd(cA, cB)
-    A = _uni_primitive(A)
-    B = _uni_primitive(B)
+    A = _uni_primitive(A, cA)
+    B = _uni_primitive(B, cB)
     while B:
         R = _uni_prem(A, B)
         A, B = B, _uni_primitive(R)

@@ -21,3 +21,29 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+@pytest.fixture
+def count_operations(monkeypatch):
+    """Start counting as the benchmark's tracer counts: multiplies,
+    coefficient products and gcd calls.  Returns the live counts."""
+    from omnilie import scalar
+
+    def start():
+        counts = {"poly_mul": 0, "coeff_products": 0, "gcd": 0}
+        mul, gcd = scalar.Polynomial.__mul__, scalar.poly_gcd
+
+        def counted_mul(a, b):
+            counts["poly_mul"] += 1
+            counts["coeff_products"] += len(a.terms) * len(b.terms)
+            return mul(a, b)
+
+        def counted_gcd(f, g):
+            counts["gcd"] += 1
+            return gcd(f, g)
+
+        monkeypatch.setattr(scalar.Polynomial, "__mul__", counted_mul)
+        monkeypatch.setattr(scalar, "poly_gcd", counted_gcd)
+        return counts
+
+    return start

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from omnilie.cli import main
+from omnilie.cli import MAX_FORMS, MAX_FORM_TERMS, MAX_N, MAX_SAMPLES, load_scenario, main
 from omnilie import serialize
 from omnilie.atiyah import AtiyahForm
 from omnilie.scalar import MAX_DEGREE
@@ -72,6 +72,7 @@ def test_verify_rejects_bad_scenarios(tmp_path, capsys):
         ({"suites": ["morphism-5-9"], "n": 1}, "morphism-5-9"),
         ({"sabotage": "zap"}, "sabotage"),
         ({"max_degree": MAX_DEGREE + 1}, f"max_degree: must be an integer in 0..{MAX_DEGREE}"),
+        ({"forms": ["omega"]}, "forms: must be an object"),
     ]
     for overrides, needle in cases:
         scenario = write_scenario(tmp_path, **overrides)
@@ -284,3 +285,37 @@ def test_verify_rejects_boolean_integers(tmp_path, capsys, field):
     rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
     assert rc == 2
     assert f"input error: {field}:" in capsys.readouterr().err
+
+
+def _size_overrides(past):
+    """Scenario fields at their size caps, or one past them.  The form
+    counts its one coefficient, the distinct terms of the numerator and
+    the one term of the default denominator."""
+    terms = [_term([k % 64, k // 64]) for k in range(MAX_FORM_TERMS - 2 + past)]
+    return [
+        ({"n": MAX_N + past}, "n: must be an integer in 1.."),
+        ({"samples": MAX_SAMPLES + past}, "samples: must be an integer in 1.."),
+        (
+            {"forms": {f"F{k}": {"degree": 0} for k in range(MAX_FORMS + past)}},
+            f"forms: {MAX_FORMS + 1} forms, above the limit",
+        ),
+        (
+            {"forms": {"B": _form_with_scalar({"numerator": terms})}},
+            f"forms.B: {MAX_FORM_TERMS + 1} coefficients and terms, above the limit",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("overrides, needle", _size_overrides(past=1))
+def test_verify_rejects_scenarios_past_the_size_caps(tmp_path, capsys, overrides, needle):
+    scenario = write_scenario(tmp_path, **overrides)
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert f"input error: {needle}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, needle", _size_overrides(past=0))
+def test_scenarios_at_the_size_caps_load(tmp_path, overrides, needle):
+    # loading only: running suites at the caps would take hours
+    _, ctx, _ = load_scenario(write_scenario(tmp_path, **overrides))
+    assert (ctx.n, ctx.samples) == (overrides.get("n", 2), overrides.get("samples", 3))

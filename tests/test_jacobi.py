@@ -3,9 +3,15 @@ import random
 import pytest
 
 from omnilie.errors import NonInvertible, NotClosed
+from omnilie import linalg
 from omnilie.gauge import Derivation
 from omnilie.atiyah import AtiyahForm, differential, evaluate, random_form
-from omnilie.observables import hamiltonian_derivation, is_involutive
+from omnilie.dcourant import dorfman
+from omnilie.observables import (
+    hamiltonian_derivation,
+    is_involutive,
+    section_coordinates,
+)
 from omnilie.jacobi import (
     JacobiBiderivation,
     dirac_gauge,
@@ -244,3 +250,53 @@ def test_noninvertible_witness():
     with pytest.raises(NonInvertible) as info:
         gauge_jacobi(J_bad, B_bad)
     assert info.value.determinant is not None
+
+
+def _polynomial_graph():
+    """graph(J) for a fixed biderivation with degree-1 polynomial entries in
+    three variables, and the brackets of its generator pairs."""
+    rng = random.Random(20240611)
+    J = JacobiBiderivation.from_entries(
+        3,
+        {
+            (a, b): random_polynomial(3, rng, 1, 2)
+            for a in range(4)
+            for b in range(a + 1, 4)
+        },
+    )
+    xi = graph(J)
+    gens = xi.generators
+    brackets = [dorfman(g, h) for i, g in enumerate(gens) for h in gens[i + 1 :]]
+    return xi, brackets
+
+
+def test_membership_in_a_polynomial_graph_takes_no_gcd(count_operations):
+    # The form rows of graph(J) hold an identity block, so every pivot of
+    # the membership system is a constant and no rational function forms.
+    xi, brackets = _polynomial_graph()
+    counts = count_operations()
+    assert [xi.contains(br) for br in brackets] == [None] * len(brackets)
+    for k, g in enumerate(xi.generators):
+        assert xi.contains(g) == [
+            Scalar.one(3) if i == k else Scalar.zero(3) for i in range(4)
+        ]
+    assert counts["gcd"] == 0
+
+
+def test_determinant_matches_the_recorded_counts(count_operations):
+    # determinant, the elimination the cohomologous-iso suite runs, pivots
+    # on the first nonzero row and normalizes a rational function at each
+    # row operation.  Its counts depend on the term order of the gcd's
+    # results, which the jacobi run of
+    # test_scalar.py::test_counted_operations_match_the_recorded_counts
+    # no longer reaches: its eliminations pivot on constants.  The matrices
+    # are sharp(J, .) with a bracket's coordinates in the first column.
+    xi, brackets = _polynomial_graph()
+    sharp = xi._full_matrix()[:4]
+    matrices = [
+        [[col[i]] + sharp[i][1:] for i in range(4)]
+        for col in (section_coordinates(br) for br in brackets)
+    ]
+    counts = count_operations()
+    assert not any(linalg.determinant(m).is_zero() for m in matrices)
+    assert counts == {"poly_mul": 8224, "coeff_products": 705158, "gcd": 2256}
