@@ -5,16 +5,20 @@ Subcommands:
 * ``verify --scenario <path> [--report <path>] [--format json|text]``
   runs the named suites against a scenario file and writes a
   deterministic report; exit code 0 when every residual is zero, 1 on
-  any identity failure, 2 on malformed input.
+  any identity failure, 2 on malformed input or an unwritable report.
 * ``demo <name>`` prints a fixed walkthrough.
 * ``primitive --form <path>`` reads a serialized closed form and prints
   a primitive for it.
+
+Any subcommand exits 3 with one ``internal error:`` line on stderr when
+the program itself fails.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -29,7 +33,8 @@ from .scalar import MAX_DEGREE, Scalar
 from .atiyah import AtiyahForm, differential, primitive
 from .jacobi import JacobiBiderivation, jacobi_bracket
 from .linf import kappa
-from . import serialize
+from .observables import graph_of_form
+from . import linalg, serialize
 from .suites import SUITES, SuiteContext
 
 
@@ -132,17 +137,8 @@ def load_scenario(path):
             f"forms.{name}: degree {form.degree} outside 0..{n + 1}",
         )
         forms[name] = form
-    twist_suites = {
-        "lcourant-axioms",
-        "linf-oracle",
-        "morphism-5-9",
-        "observables",
-        "useful-lemma",
-        "dg-leibniz",
-        "exact-curvature",
-        "cohomologous-iso",
-    }
-    if "omega" in forms and twist_suites & set(suites):
+    needs = {SUITES[name].omega for name in suites} - {None}
+    if "omega" in forms and needs:
         _require(
             forms["omega"].degree == 3,
             f"forms.omega: the twist must have degree 3 (got {forms['omega'].degree})",
@@ -151,10 +147,7 @@ def load_scenario(path):
             differential(forms["omega"]).is_zero(),
             "forms.omega: the twist must be closed",
         )
-        if {"morphism-5-9", "dg-leibniz"} & set(suites):
-            from .observables import graph_of_form
-            from . import linalg
-
+        if "nondegenerate" in needs:
             xi = graph_of_form(forms["omega"])
             _require(
                 linalg.rank(xi._form_matrix()) == n + 1,
@@ -248,6 +241,20 @@ def _degree_limit_message(ctx, exc):
     return f"{fields}: the suites' polynomials pass the degree limit ({exc})"
 
 
+def _write_atomically(path, payload):
+    """Write to a temporary file beside path, then rename it into place,
+    so a reader never sees a partial report."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def cmd_verify(args):
     try:
         suite_names, ctx, raw = load_scenario(args.scenario)
@@ -267,8 +274,14 @@ def cmd_verify(args):
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         payload = report_text(report)
-    with open(args.report, "w", encoding="utf-8") as handle:
-        handle.write(payload)
+    try:
+        _write_atomically(args.report, payload)
+    except OSError as exc:
+        print(
+            f"input error: report: cannot write {args.report}: {exc.strerror or exc}",
+            file=sys.stderr,
+        )
+        return 2
     sys.stdout.write(report_text(report))
     sys.stdout.write(f"report written to {args.report}\n")
     return 0 if report["all_passed"] else 1
@@ -393,7 +406,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        # a fault of the program, never a verdict on the identities
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry():

@@ -23,6 +23,7 @@ from .atiyah import (
     lie_derivative,
     random_form,
 )
+from .sampling import sample
 from .scalar import Scalar, random_polynomial
 
 
@@ -215,33 +216,23 @@ def _axiom_residuals(structure, e1, e2, e3, f):
 
 
 def lcourant_axioms(structure, samples, seed, max_degree=2, coeff_bound=3):
-    """Check the five axioms on seeded random triples; returns report entries.
+    """Check the five axioms on seeded random triples; returns report rows.
 
-    Each entry is (label, ok, witness) with the witness carrying a
-    printable record of the inputs and the first nonzero residual.
+    A failing row's witness carries the printed inputs and the residual.
     """
-    import random as _random
 
-    entries = []
-    rng = _random.Random(seed)
-    for case in range(samples):
-        e1 = structure.random_section(rng, max_degree, coeff_bound)
-        e2 = structure.random_section(rng, max_degree, coeff_bound)
-        e3 = structure.random_section(rng, max_degree, coeff_bound)
-        f = random_polynomial(structure.n, rng, max_degree, coeff_bound)
-        residuals = _axiom_residuals(structure, e1, e2, e3, f)
-        for label, value in residuals.items():
-            ok = value.is_zero()
-            witness = None
-            if not ok:
-                witness = {
-                    "axiom": label,
-                    "case": case,
-                    "inputs": [str(e1), str(e2), str(e3), str(f)],
-                    "residual": str(value),
-                }
-            entries.append((f"{label}[{case}]", ok, witness))
-    return entries
+    def draw(rng):
+        e1, e2, e3 = (
+            structure.random_section(rng, max_degree, coeff_bound) for _ in range(3)
+        )
+        return e1, e2, e3, random_polynomial(structure.n, rng, max_degree, coeff_bound)
+
+    def context(*inputs):
+        return {"inputs": [str(x) for x in inputs]}
+
+    return sample(
+        samples, seed, draw, lambda *inputs: _axiom_residuals(structure, *inputs), context
+    )
 
 
 class Connection:

@@ -11,6 +11,7 @@ total degree two, matching the graph involutivity test.
 from __future__ import annotations
 
 import itertools
+import random
 
 from .errors import NonInvertible, NotClosed
 from .gauge import Derivation, commutator
@@ -20,10 +21,12 @@ from .atiyah import (
     differential,
     evaluate,
     lie_derivative,
+    random_form,
 )
 from .dcourant import DSection
-from .observables import CheckResult, Subbundle, is_involutive
-from .scalar import Scalar, monomials_upto, Polynomial
+from .observables import Subbundle, is_involutive
+from .sampling import CheckResult, sample
+from .scalar import Scalar, monomials_upto, Polynomial, random_polynomial
 from . import linalg
 
 
@@ -171,10 +174,6 @@ def is_jacobi(J, samples=10, seed=0):
     Route b tests involutivity of the graph.  The verdict is their
     shared answer; a seeded random sample is also reported.
     """
-    import random as _random
-
-    from .scalar import random_polynomial
-
     n = J.n
     family = monomial_scalars(n, 2)
     bracket_ok = True
@@ -189,7 +188,7 @@ def is_jacobi(J, samples=10, seed=0):
             }
             break
     graph_result = is_involutive(graph(J))
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     random_ok = True
     for _ in range(samples):
         s1 = random_polynomial(n, rng, 2, 2)
@@ -252,59 +251,30 @@ def twisted_jet_bracket(J, omega, alpha, beta):
 
 def jet_algebroid_residuals(J, omega, samples, seed, max_degree=1, coeff_bound=2):
     """Skewness, Jacobi, module Leibniz and anchor morphism of the jet bracket."""
-    import random as _random
-
-    from .atiyah import random_form
-    from .scalar import random_polynomial
-
-    rng = _random.Random(seed)
     n = J.n
-    entries = []
 
     def bracket(a, b):
         return twisted_jet_bracket(J, omega, a, b)
 
-    for case in range(samples):
-        al = random_form(n, 1, rng, max_degree, coeff_bound)
-        be = random_form(n, 1, rng, max_degree, coeff_bound)
-        ga = random_form(n, 1, rng, max_degree, coeff_bound)
-        f = random_polynomial(n, rng, max_degree, coeff_bound)
+    def draw(rng):
+        al, be, ga = (random_form(n, 1, rng, max_degree, coeff_bound) for _ in range(3))
+        return al, be, ga, random_polynomial(n, rng, max_degree, coeff_bound)
 
-        def put(kind, value):
-            ok = value.is_zero()
-            entries.append(
-                (
-                    f"{kind}[{case}]",
-                    ok,
-                    None if ok else {"kind": kind, "residual": str(value)},
-                )
-            )
-
-        put("skew", bracket(al, be) + bracket(be, al))
-        put(
-            "jacobi",
-            bracket(al, bracket(be, ga))
-            - bracket(bracket(al, be), ga)
+    def checks(al, be, ga, f):
+        ab = bracket(al, be)
+        sharp_al = sharp(J, al)
+        return {
+            "skew": ab + bracket(be, al),
+            "jacobi": bracket(al, bracket(be, ga))
+            - bracket(ab, ga)
             - bracket(be, bracket(al, ga)),
-        )
-        put(
-            "leibniz",
-            bracket(al, be.scale(f))
-            - bracket(al, be).scale(f)
-            - be.scale(sharp(J, al).symbol_apply(f)),
-        )
-        anchor_res = commutator(sharp(J, al), sharp(J, be)) - sharp(
-            J, bracket(al, be)
-        )
-        ok = anchor_res.is_zero()
-        entries.append(
-            (
-                f"anchor[{case}]",
-                ok,
-                None if ok else {"kind": "anchor", "residual": str(anchor_res)},
-            )
-        )
-    return entries
+            "leibniz": bracket(al, be.scale(f))
+            - ab.scale(f)
+            - be.scale(sharp_al.symbol_apply(f)),
+            "anchor": commutator(sharp_al, sharp(J, be)) - sharp(J, ab),
+        }
+
+    return sample(samples, seed, draw, checks)
 
 
 def _sharp_matrix(J):

@@ -9,8 +9,6 @@ by numbers instead of normalizing rational functions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalar import Scalar
 
 
@@ -167,33 +165,3 @@ def matmul(a, b):
             new_row.append(s)
         out.append(new_row)
     return out
-
-
-def fraction_rank(rows):
-    """Rank of a small matrix of Fractions (used by injectivity certificates)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank_count = 0
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][c]
-        rows[r] = [Fraction(v, 1) / pivot for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        rank_count += 1
-        r += 1
-        if r == len(rows):
-            break
-    return rank_count

@@ -47,6 +47,7 @@ from .observables import (
     random_hamiltonian,
     section_coordinates,
 )
+from .sampling import sample
 from .scalar import Scalar, random_polynomial
 from . import linalg
 
@@ -111,6 +112,9 @@ class GradedElement:
 
     def is_zero(self):
         return self.payload.is_zero()
+
+    def __str__(self):
+        return str(self.payload)
 
     def __repr__(self):
         return f"GradedElement(deg={self.degree}, {self.payload})"
@@ -418,58 +422,33 @@ class RepHomotopyData:
 
     def axiom_residuals(self, samples, seed, max_degree=1, coeff_bound=2):
         """Residuals of the two action axioms and the cocycle condition."""
-        import random as _random
-
-        rng = _random.Random(seed)
-        entries = []
         n = self.n
-        for case in range(samples):
-            X = random_derivation(n, rng, max_degree, coeff_bound)
-            Y = random_derivation(n, rng, max_degree, coeff_bound)
-            Z = random_derivation(n, rng, max_degree, coeff_bound)
-            alpha = random_form(n, 1, rng, max_degree, coeff_bound)
-            s = random_polynomial(n, rng, max_degree, coeff_bound)
 
-            res1 = (
-                self.mu0(commutator(X, Y), alpha)
-                - self.mu0(X, self.mu0(Y, alpha))
-                + self.mu0(Y, self.mu0(X, alpha))
-                - differential(self.nu(X, Y, alpha))
-            )
-            entries.append(
-                (
-                    f"action-0[{case}]",
-                    res1.is_zero(),
-                    None if res1.is_zero() else {"residual": str(res1)},
-                )
-            )
-            res2 = (
-                self.mu1(commutator(X, Y), s)
-                - self.mu1(X, self.mu1(Y, s))
-                + self.mu1(Y, self.mu1(X, s))
-                - self.nu(X, Y, differential(s))
-            )
-            entries.append(
-                (
-                    f"action-1[{case}]",
-                    res2.is_zero(),
-                    None if res2.is_zero() else {"residual": str(res2)},
-                )
-            )
+        def draw(rng):
+            X, Y, Z = (random_derivation(n, rng, max_degree, coeff_bound) for _ in range(3))
+            alpha = random_form(n, 1, rng, max_degree, coeff_bound)
+            return X, Y, Z, alpha, random_polynomial(n, rng, max_degree, coeff_bound)
+
+        def checks(X, Y, Z, alpha, s):
             cocycle = Scalar.zero(n)
             for A, B, C in ((X, Y, Z), (Y, Z, X), (Z, X, Y)):
                 cocycle = cocycle + self._coaction(
                     A, lambda beta, B=B, C=C: self.nu(B, C, beta), alpha
                 )
                 cocycle = cocycle - self.nu(commutator(A, B), C, alpha)
-            entries.append(
-                (
-                    f"cocycle[{case}]",
-                    cocycle.is_zero(),
-                    None if cocycle.is_zero() else {"residual": str(cocycle)},
-                )
-            )
-        return entries
+            return {
+                "action-0": self.mu0(commutator(X, Y), alpha)
+                - self.mu0(X, self.mu0(Y, alpha))
+                + self.mu0(Y, self.mu0(X, alpha))
+                - differential(self.nu(X, Y, alpha)),
+                "action-1": self.mu1(commutator(X, Y), s)
+                - self.mu1(X, self.mu1(Y, s))
+                + self.mu1(Y, self.mu1(X, s))
+                - self.nu(X, Y, differential(s)),
+                "cocycle": cocycle,
+            }
+
+        return sample(samples, seed, draw, checks)
 
 
 def rep_homotopy_data(n):
@@ -594,51 +573,35 @@ def _payload(ge, space):
 
 def morphism_residuals(phi, source, target, samples, seed, max_degree=1, coeff_bound=2):
     """Residuals of the three morphism conditions plus chain and skewness."""
-    import random as _random
-
-    rng = _random.Random(seed)
-    entries = []
-
-    def record(label, value):
-        if value is None or isinstance(value, GradedElement):
-            ok = ge_is_zero(value)
-            shown = None if value is None else value.payload
-        else:
-            ok = value.is_zero()
-            shown = value
-        entries.append(
-            (label, ok, None if ok else {"residual": str(shown)})
-        )
+    graded = source.terms > 1
 
     def tl(k, *payload_degree_pairs):
         return target.l(
             k, [GradedElement(d, pl) for pl, d in payload_degree_pairs]
         )
 
-    for case in range(samples):
-        x = source.random_element(0, rng, max_degree, coeff_bound)
-        y = source.random_element(0, rng, max_degree, coeff_bound)
-        z = source.random_element(0, rng, max_degree, coeff_bound)
+    def draw(rng):
+        x, y, z = (source.random_element(0, rng, max_degree, coeff_bound) for _ in range(3))
         h = (
             source.random_element(1, rng, max_degree, coeff_bound)
-            if source.terms > 1
+            if graded
             else GradedElement(1, target.space(1).zero())
         )
+        return x, y, z, h
 
+    def checks(x, y, z, h):
         fx, fy, fz = (phi.phi0(e.payload) for e in (x, y, z))
         fh = phi.phi1(h.payload)
 
         # chain condition
-        l1h = source.l(1, [h]) if source.terms > 1 else None
+        l1h = source.l(1, [h]) if graded else None
         chain = ge_add(
             GradedElement(0, phi.phi0(_payload(l1h, source.space(0)))),
             ge_scale(tl(1, (fh, 1)), -1),
         )
-        record(f"chain[{case}]", chain)
 
         # skewness of the corrector
         skew = phi.phi2(x.payload, y.payload) + phi.phi2(y.payload, x.payload)
-        record(f"phi2-skew[{case}]", skew)
 
         # first condition
         c1 = ge_add(
@@ -654,7 +617,6 @@ def morphism_residuals(phi, source, target, samples, seed, max_degree=1, coeff_b
             ),
         )
         c1 = ge_add(c1, ge_scale(tl(1, (phi.phi2(x.payload, y.payload), 1)), -1))
-        record(f"cond1[{case}]", c1)
 
         # second condition
         c2 = ge_add(
@@ -663,8 +625,8 @@ def morphism_residuals(phi, source, target, samples, seed, max_degree=1, coeff_b
                 1,
                 -phi.phi1(
                     _payload(
-                        source.l(2, [x, h]) if source.terms > 1 else None,
-                        source.space(1) if source.terms > 1 else target.space(1),
+                        source.l(2, [x, h]) if graded else None,
+                        source.space(1) if graded else target.space(1),
                     )
                 ),
             ),
@@ -676,7 +638,6 @@ def morphism_residuals(phi, source, target, samples, seed, max_degree=1, coeff_b
                 -phi.phi2(x.payload, _payload(l1h, source.space(0))),
             ),
         )
-        record(f"cond2[{case}]", c2)
 
         # third condition
         c3 = tl(3, (fx, 0), (fy, 0), (fz, 0))
@@ -701,8 +662,9 @@ def morphism_residuals(phi, source, target, samples, seed, max_degree=1, coeff_b
                     -1,
                 ),
             )
-        record(f"cond3[{case}]", c3)
-    return entries
+        return {"chain": chain, "phi2-skew": skew, "cond1": c1, "cond2": c2, "cond3": c3}
+
+    return sample(samples, seed, draw, checks)
 
 
 def anchor_extension_algebra(b_form):

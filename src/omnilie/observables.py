@@ -10,6 +10,8 @@ checker lemmas used by the higher structures live here too.
 
 from __future__ import annotations
 
+import random
+
 from .errors import NotHamiltonian
 from .gauge import Derivation, commutator
 from .atiyah import (
@@ -21,24 +23,9 @@ from .atiyah import (
     random_form,
 )
 from .dcourant import DSection, dorfman, pairing
+from .sampling import CheckResult, sample
+from .scalar import random_polynomial
 from . import linalg
-
-
-class CheckResult:
-    """Boolean verdict plus a printable witness for failures."""
-
-    __slots__ = ("ok", "label", "witness")
-
-    def __init__(self, ok, label, witness=None):
-        self.ok = ok
-        self.label = label
-        self.witness = witness
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return f"CheckResult({self.ok}, {self.label!r})"
 
 
 def section_coordinates(e):
@@ -89,8 +76,6 @@ class Subbundle:
 
     def random_element(self, rng, max_degree, coeff_bound):
         """A random module combination of the generators."""
-        from .scalar import random_polynomial
-
         out = DSection.zero(self.n, self.p)
         for g in self.generators:
             out = out + g.scale(random_polynomial(self.n, rng, max_degree, coeff_bound))
@@ -109,15 +94,6 @@ def graph_of_form(omega):
     for t in range(n + 1):
         d = Derivation.basis(n, t)
         gens.append(DSection(d, contract(d, omega)))
-    return Subbundle(gens)
-
-
-def full_derivation_subbundle(n, p):
-    """The subbundle of bare derivations (zero form part)."""
-    gens = [
-        DSection(Derivation.basis(n, t), AtiyahForm.zero(n, p))
-        for t in range(n + 1)
-    ]
     return Subbundle(gens)
 
 
@@ -154,9 +130,7 @@ def is_involutive(xi, samples=0, seed=0, twist=None):
         if i < j
     ]
     if samples:
-        import random as _random
-
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         for k in range(samples):
             a = xi.random_element(rng, 1, 2)
             b = xi.random_element(rng, 1, 2)
@@ -335,56 +309,33 @@ def induced_algebroid_residuals(xi, samples, seed, max_degree=1, coeff_bound=2):
     """Restriction of the bracket to the subbundle is a Lie algebroid.
 
     Checks skewness, the Jacobi identity, the module Leibniz rule and
-    the anchor property on generator tuples and seeded combinations.
+    closure of the bracket on seeded module combinations.
     """
-    import random as _random
 
-    from .scalar import random_polynomial
+    def draw(rng):
+        a, b, c = (xi.random_element(rng, max_degree, coeff_bound) for _ in range(3))
+        return a, b, c, random_polynomial(xi.n, rng, max_degree, coeff_bound)
 
-    rng = _random.Random(seed)
-    entries = []
-    for case in range(samples):
-        a = xi.random_element(rng, max_degree, coeff_bound)
-        b = xi.random_element(rng, max_degree, coeff_bound)
-        c = xi.random_element(rng, max_degree, coeff_bound)
-        f = random_polynomial(xi.n, rng, max_degree, coeff_bound)
+    def checks(a, b, c, f):
+        ab = dorfman(a, b)
+        closed = xi.contains(ab) is not None
+        return {
+            "skew": ab + dorfman(b, a),
+            "jacobi": dorfman(a, dorfman(b, c)) - dorfman(ab, c) - dorfman(b, dorfman(a, c)),
+            "leibniz": dorfman(a, b.scale(f)) - ab.scale(f) - b.scale(a.der.symbol_apply(f)),
+            "closure": CheckResult(closed, "closure", None if closed else {"bracket": str(ab)}),
+        }
 
-        def witness(kind, residual):
-            return {
-                "kind": kind,
-                "case": case,
-                "residual": str(residual),
-            }
-
-        skew = dorfman(a, b) + dorfman(b, a)
-        entries.append((f"skew[{case}]", skew.is_zero(), witness("skew", skew)))
-        jac = (
-            dorfman(a, dorfman(b, c))
-            - dorfman(dorfman(a, b), c)
-            - dorfman(b, dorfman(a, c))
-        )
-        entries.append((f"jacobi[{case}]", jac.is_zero(), witness("jacobi", jac)))
-        leib = dorfman(a, b.scale(f)) - dorfman(a, b).scale(f) - b.scale(
-            a.der.symbol_apply(f)
-        )
-        entries.append((f"leibniz[{case}]", leib.is_zero(), witness("leibniz", leib)))
-        closure = xi.contains(dorfman(a, b)) is not None
-        entries.append((f"closure[{case}]", closure, witness("closure", dorfman(a, b))))
-    return [
-        (label, ok, None if ok else data) for label, ok, data in entries
-    ]
+    return sample(samples, seed, draw, checks)
 
 
-def random_hamiltonian(xi, rng, max_degree, coeff_bound, shift_ambiguity=False):
+def random_hamiltonian(xi, rng, max_degree, coeff_bound):
     """Random Hamiltonian form for the subbundle.
 
     Draws a random form of degree p-1 and solves; when the solve fails
     (degenerate subbundle) falls back to an exact form, which is always
-    Hamiltonian with the zero derivation.  Optionally shifts the chosen
-    derivation by a random ambiguity combination.
+    Hamiltonian with the zero derivation.
     """
-    from .scalar import random_polynomial
-
     n, p = xi.n, xi.p
     alpha = random_form(n, p - 1, rng, max_degree, coeff_bound)
     try:
@@ -397,9 +348,4 @@ def random_hamiltonian(xi, rng, max_degree, coeff_bound, shift_ambiguity=False):
         else:
             alpha = AtiyahForm.zero(n, 0)
         delta = hamiltonian_derivation(alpha, xi)
-    out = HamiltonianForm(alpha, delta)
-    if shift_ambiguity:
-        for amb in hamiltonian_ambiguity(xi):
-            c = random_polynomial(n, rng, max_degree, coeff_bound)
-            out = HamiltonianForm(out.alpha, out.ham_der + amb.scale(c))
-    return out
+    return HamiltonianForm(alpha, delta)

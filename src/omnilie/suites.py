@@ -1,12 +1,14 @@
 """Named verification suites: one per certified family of identities.
 
-Each suite maps a context (model size, sample count, master seed,
-generator bounds, optional named forms) to an ordered list of case
-outcomes ``(label, ok, witness)``.  All randomness is derived from the
-master seed and the case labels, so a rerun of the same scenario
-reproduces the same report byte for byte.  Negative controls are built
-in: they pass exactly when the expected failure is detected and carry
-its witness.
+Each suite is a table: a function of the context (model size, sample
+count, master seed, generator bounds, optional named forms) that returns
+identity families and plain rows in report order.  A ``Family`` names a
+seed tag, a case count, a draw and its checks; ``_table_runner`` turns
+the table into the suite's ordered list of case outcomes
+``(label, ok, witness)``.  All randomness is derived from the master
+seed and the seed tags, so a rerun of the same scenario reproduces the
+same report byte for byte.  Negative controls are built in: they pass
+exactly when the expected failure is detected and carry its witness.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NonInvertible
+from .sampling import CheckResult, check_cases, outcome
 from .scalar import Scalar, Polynomial, monomials_upto, random_polynomial
 from .gauge import Derivation, commutator, random_derivation
 from .atiyah import (
@@ -49,10 +52,10 @@ from .observables import (
     observable_bracket,
     observable_bracket_hamiltonian,
     random_hamiltonian,
+    section_coordinates,
     useful_lemma_residual,
 )
 from .linf import (
-    GradedElement,
     anchor_extension_algebra,
     build_dg_leibniz,
     build_graph_linf,
@@ -61,7 +64,6 @@ from .linf import (
     build_two_term,
     cohomologous_iso,
     drop_bracket,
-    ge_is_zero,
     injective_graph_morphism,
     jacobi_residual,
     kappa,
@@ -109,6 +111,44 @@ def _rng(ctx, *parts):
     return random.Random(derive_seed(ctx.seed, *parts))
 
 
+@dataclass(frozen=True)
+class Family:
+    """One identity family of a suite table.
+
+    Case k draws its inputs with ``draw(rng, k)`` from its own stream,
+    seeded by ``derive_seed(seed, tag, k)``.  ``checks(*inputs)`` maps
+    each check's name to a residual or a CheckResult; the row label is
+    ``label`` filled with the name and k.  ``context(*inputs)`` adds
+    keys to the witness of a failing residual.
+    """
+
+    tag: str
+    count: int
+    draw: object
+    checks: object
+    context: object = None
+    label: str = "{name}[{case}]"
+
+
+def _table_runner(table):
+    """The suite runner of a table: rows as they are, families case by case."""
+
+    def runner(ctx):
+        out = []
+        for item in table(ctx):
+            if isinstance(item, Family):
+                cases = (
+                    (case, item.draw(_rng(ctx, item.tag, case), case))
+                    for case in range(item.count)
+                )
+                out += check_cases(cases, item.checks, item.context, item.label)
+            else:
+                out.append(item)
+        return out
+
+    return runner
+
+
 def default_twist(ctx):
     """The named twist if provided, else a basis 3-form (zero when n < 2)."""
     if "omega" in ctx.forms:
@@ -119,80 +159,51 @@ def default_twist(ctx):
     return AtiyahForm.zero(n, 3)
 
 
-def _ok(label, value):
-    if value is None or isinstance(value, GradedElement):
-        zero = ge_is_zero(value)
-        shown = None if value is None else str(value.payload)
-    else:
-        zero = value.is_zero()
-        shown = str(value)
-    return (label, zero, None if zero else {"residual": shown})
-
-
 # ---------------------------------------------------------------------------
-# suites
+# suite tables
 # ---------------------------------------------------------------------------
 
 
-def run_atiyah_calculus(ctx):
-    out = []
+def atiyah_calculus(ctx):
     n = ctx.n
     unit = Derivation.unit(n)
-    for case in range(ctx.samples):
-        rng = _rng(ctx, "atiyah", case)
+    bounds = (ctx.max_degree, ctx.coeff_bound)
+
+    def draw(rng, case):
         degree = case % (n + 2)
-        w = random_form(n, degree, rng, ctx.max_degree, ctx.coeff_bound)
-        D = random_derivation(n, rng, ctx.max_degree, ctx.coeff_bound)
-        E = random_derivation(n, rng, ctx.max_degree, ctx.coeff_bound)
-        out.append(_ok(f"d-squared[{case}]", differential(differential(w))))
-        out.append(
-            _ok(
-                f"cartan[{case}]",
-                lie_derivative(D, w)
-                - contract(D, differential(w))
-                - differential(contract(D, w)),
-            )
-        )
-        out.append(
-            _ok(
-                f"unit-homotopy[{case}]",
-                differential(contract(unit, w))
-                + contract(unit, differential(w))
-                - w,
-            )
-        )
+        w = random_form(n, degree, rng, *bounds)
+        D = random_derivation(n, rng, *bounds)
+        E = random_derivation(n, rng, *bounds)
+        return degree, w, D, E, random_polynomial(n, rng, *bounds)
+
+    def checks(degree, w, D, E, s):
+        out = {
+            "d-squared": differential(differential(w)),
+            "cartan": lie_derivative(D, w)
+            - contract(D, differential(w))
+            - differential(contract(D, w)),
+            "unit-homotopy": differential(contract(unit, w))
+            + contract(unit, differential(w))
+            - w,
+        }
         if degree >= 1:
-            out.append(
-                _ok(
-                    f"lie-contract[{case}]",
-                    lie_derivative(D, contract(E, w))
-                    - contract(E, lie_derivative(D, w))
-                    - contract(commutator(D, E), w),
-                )
+            out["lie-contract"] = (
+                lie_derivative(D, contract(E, w))
+                - contract(E, lie_derivative(D, w))
+                - contract(commutator(D, E), w)
             )
-        s = random_polynomial(n, rng, ctx.max_degree, ctx.coeff_bound)
-        out.append(
-            _ok(
-                f"jet-injectivity[{case}]",
-                contract(unit, differential(s)).scalar() - s,
-            )
+        out["jet-injectivity"] = contract(unit, differential(s)).scalar() - s
+        return out
+
+    return [Family("atiyah", ctx.samples, draw, checks)]
+
+
+def lcourant_axioms_suite(ctx):
+    def axioms(name, structure, tag):
+        rows = lcourant_axioms(
+            structure, ctx.samples, derive_seed(ctx.seed, tag), ctx.max_degree, ctx.coeff_bound
         )
-    return out
-
-
-def run_lcourant_axioms(ctx):
-    out = []
-    omni = LCourantStructure.omni(ctx.n)
-    for label, ok, witness in lcourant_axioms(
-        omni, ctx.samples, derive_seed(ctx.seed, "lc-omni"), ctx.max_degree, ctx.coeff_bound
-    ):
-        out.append((f"omni:{label}", ok, witness))
-    twist = default_twist(ctx)
-    twisted = LCourantStructure.twisted(twist)
-    for label, ok, witness in lcourant_axioms(
-        twisted, ctx.samples, derive_seed(ctx.seed, "lc-twisted"), ctx.max_degree, ctx.coeff_bound
-    ):
-        out.append((f"twisted:{label}", ok, witness))
+        return [(f"{name}:{label}", ok, witness) for label, ok, witness in rows]
 
     # negative control with its own three-variable model: a non-closed
     # twist must break the first axiom with a witness
@@ -201,14 +212,15 @@ def run_lcourant_axioms(ctx):
         LCourantStructure.twisted(bad), 6, derive_seed(ctx.seed, "lc-bad"), 1, 2
     )
     failures = [w for label, ok, w in control if label.startswith("LC1") and not ok]
-    out.append(
+    return [
+        *axioms("omni", LCourantStructure.omni(ctx.n), "lc-omni"),
+        *axioms("twisted", LCourantStructure.twisted(default_twist(ctx)), "lc-twisted"),
         (
             "nonclosed-twist-detected",
             bool(failures),
             failures[0] if failures else {"error": "no LC1 failure found"},
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _degree_pattern(case, size, terms):
@@ -221,222 +233,167 @@ def _degree_pattern(case, size, terms):
     return out
 
 
-def _oracle_cases(ctx, structure, tag, max_n=4):
-    out = []
-    top = min(max_n, structure.arity + 1)
-    for nn in range(1, top + 1):
-        for case in range(ctx.samples):
-            rng = _rng(ctx, "oracle", tag, nn, case)
-            degrees = _degree_pattern(case, nn, structure.terms)
-            tup = structure.random_tuple(
-                nn, rng, min(ctx.max_degree, 2), ctx.coeff_bound, degrees=degrees
+def _oracle_families(ctx, structure, tag):
+    """The coherence identity of ``structure`` on 1 to 4 inputs."""
+
+    def family(size):
+        def draw(rng, case):
+            degrees = _degree_pattern(case, size, structure.terms)
+            return structure.random_tuple(
+                size, rng, min(ctx.max_degree, 2), ctx.coeff_bound, degrees=degrees
             )
-            residual = jacobi_residual(structure, tup)
-            zero = ge_is_zero(residual)
-            witness = None
-            if not zero:
-                witness = {
-                    "structure": structure.name,
-                    "identity-size": nn,
-                    "inputs": [str(e.payload) for e in tup],
-                    "residual": str(residual.payload),
-                }
-            out.append((f"{tag}:n{nn}[{case}]", zero, witness))
-    return out
+
+        def context(*inputs):
+            return {
+                "structure": structure.name,
+                "identity-size": size,
+                "inputs": [str(e) for e in inputs],
+            }
+
+        return Family(
+            f"oracle:{tag}:{size}",
+            ctx.samples,
+            draw,
+            lambda *inputs: {f"{tag}:n{size}": jacobi_residual(structure, list(inputs))},
+            context,
+        )
+
+    return [family(size) for size in range(1, min(4, structure.arity + 1) + 1)]
 
 
-def run_linf_oracle(ctx):
-    out = []
+def linf_oracle(ctx):
     omni = LCourantStructure.omni(ctx.n)
     twist = default_twist(ctx)
-    twisted = LCourantStructure.twisted(twist)
-    two_omni = build_two_term(omni)
-    two_twisted = build_two_term(twisted)
+    two_twisted = build_two_term(LCourantStructure.twisted(twist))
     if ctx.sabotage == "drop-l3":
         two_twisted = drop_bracket(two_twisted, 3)
-    out.extend(_oracle_cases(ctx, two_omni, "two-term"))
-    out.extend(_oracle_cases(ctx, two_twisted, "two-term-twisted"))
-    out.extend(_oracle_cases(ctx, build_three_term(omni), "three-term"))
+    structures = [
+        ("two-term", build_two_term(omni)),
+        ("two-term-twisted", two_twisted),
+        ("three-term", build_three_term(omni)),
+    ]
     if ctx.n >= 2:
-        out.extend(_oracle_cases(ctx, build_graph_linf(twist), "graph"))
+        structures.append(("graph", build_graph_linf(twist)))
     expected = {2: 1, 3: -1, 4: -1, 5: 1}
     ok = all(kappa(k) == v for k, v in expected.items())
-    out.append(
-        (
-            "kappa-table",
-            ok,
-            None if ok else {"got": {k: kappa(k) for k in expected}},
-        )
+    return [
+        *(f for tag, structure in structures for f in _oracle_families(ctx, structure, tag)),
+        ("kappa-table", ok, None if ok else {"got": {k: kappa(k) for k in expected}}),
+    ]
+
+
+def _agreement(a, b):
+    """Whether two brackets agree; None stands for zero outside the complex."""
+    same = (a is None and b is None) or (
+        a is not None and b is not None and a.payload == b.payload
     )
-    return out
+    return CheckResult(
+        same, "agreement", None if same else {"two-term": str(a), "semidirect": str(b)}
+    )
 
 
-def run_semidirect_agreement(ctx):
-    out = []
+def semidirect_agreement(ctx):
     data = rep_homotopy_data(ctx.n)
-    out.extend(
-        data.axiom_residuals(
+    semi = build_semidirect(data)
+    two = build_two_term(LCourantStructure.omni(ctx.n))
+
+    def draw(rng, case):
+        x, y, z = (two.random_element(0, rng, 1, ctx.coeff_bound) for _ in range(3))
+        return x, y, z, two.random_element(1, rng, 1, ctx.coeff_bound)
+
+    def checks(x, y, z, s):
+        return {
+            "l2-sections": _agreement(two.l(2, [x, y]), semi.l(2, [x, y])),
+            "l2-mixed": _agreement(two.l(2, [x, s]), semi.l(2, [x, s])),
+            "l3": _agreement(two.l(3, [x, y, z]), semi.l(3, [x, y, z])),
+        }
+
+    return [
+        *data.axiom_residuals(
             max(3, ctx.samples // 5),
             derive_seed(ctx.seed, "rep-axioms"),
             min(ctx.max_degree, 1),
             ctx.coeff_bound,
-        )
-    )
-    semi = build_semidirect(data)
-    two = build_two_term(LCourantStructure.omni(ctx.n))
-    for case in range(ctx.samples):
-        rng = _rng(ctx, "semidirect", case)
-        x = two.random_element(0, rng, 1, ctx.coeff_bound)
-        y = two.random_element(0, rng, 1, ctx.coeff_bound)
-        z = two.random_element(0, rng, 1, ctx.coeff_bound)
-        s = two.random_element(1, rng, 1, ctx.coeff_bound)
-        pairs = [
-            ("l2-sections", two.l(2, [x, y]), semi.l(2, [x, y])),
-            ("l2-mixed", two.l(2, [x, s]), semi.l(2, [x, s])),
-            ("l3", two.l(3, [x, y, z]), semi.l(3, [x, y, z])),
-        ]
-        for tag, a, b in pairs:
-            same = (a is None and b is None) or (
-                a is not None and b is not None and a.payload == b.payload
-            )
-            out.append(
-                (
-                    f"{tag}[{case}]",
-                    same,
-                    None
-                    if same
-                    else {
-                        "two-term": str(None if a is None else a.payload),
-                        "semidirect": str(None if b is None else b.payload),
-                    },
-                )
-            )
-    return out
-
-
-def _flatten_polynomials(scalars, n, deg):
-    monos = monomials_upto(n, deg)
-    out = []
-    for s in scalars:
-        if not s.is_polynomial():
-            raise ValueError("injectivity certificates expect polynomial entries")
-        for mono in monos:
-            out.append(s.num.coefficient(mono))
-    return out
-
-
-def _injective_on_truncation(basis_payloads, fn, coordinates, n, deg):
-    cols = [
-        _flatten_polynomials(coordinates(fn(b)), n, deg) for b in basis_payloads
+        ),
+        Family("semidirect", ctx.samples, draw, checks),
     ]
+
+
+def _injectivity(label, basis, fn, coordinates, n):
+    """Row certifying fn injective on basis: its image's coefficients of
+    degree <= 2, one column per basis element, have full column rank."""
+    monos = monomials_upto(n, 2)
+    cols = []
+    for b in basis:
+        col = []
+        for s in coordinates(fn(b)):
+            if not s.is_polynomial():
+                raise ValueError("injectivity certificates expect polynomial entries")
+            col += [Scalar.from_fraction(n, s.num.coefficient(mono)) for mono in monos]
+        cols.append(col)
     rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-    return linalg.fraction_rank(rows) == len(cols)
+    ok = linalg.rank(rows) == len(cols)
+    return (label, ok, None if ok else {"error": "kernel found"})
 
 
-def run_morphism_3_9(ctx):
-    from .observables import section_coordinates
-
-    out = []
+def morphism_3_9(ctx):
     n = ctx.n
-    rng = _rng(ctx, "m39", "form")
-    b_closed = differential(random_form(n, 1, rng, ctx.max_degree, ctx.coeff_bound))
+    b_closed = differential(
+        random_form(n, 1, _rng(ctx, "m39", "form"), ctx.max_degree, ctx.coeff_bound)
+    )
     domain = anchor_extension_algebra(b_closed)
-    target = build_two_term(LCourantStructure.omni(n))
     morphism = prolongation_morphism(b_closed)
-    out.extend(
-        morphism_residuals(
+
+    def draw(rng, case):
+        return domain.random_tuple(3, rng, 1, ctx.coeff_bound, degrees=[0, 0, 0])
+
+    basis = [
+        DSection(Derivation.basis(n, t).scale(m), AtiyahForm.zero(n, 0))
+        for t in range(n + 1)
+        for m in monomial_scalars(n, 2)
+    ]
+    basis += [
+        DSection(Derivation.zero(n), AtiyahForm.from_scalar(m))
+        for m in monomial_scalars(n, 2)
+    ]
+    return [
+        *morphism_residuals(
             morphism,
             domain,
-            target,
+            build_two_term(LCourantStructure.omni(n)),
             ctx.samples,
             derive_seed(ctx.seed, "m39-res"),
             min(ctx.max_degree, 1),
             ctx.coeff_bound,
-        )
-    )
-    # the domain bracket is a Lie algebra bracket for a closed shift
-    for case in range(max(3, ctx.samples // 10)):
-        rng = _rng(ctx, "m39-lie", case)
-        tup = domain.random_tuple(3, rng, 1, ctx.coeff_bound, degrees=[0, 0, 0])
-        out.append(_ok(f"domain-jacobi[{case}]", jacobi_residual(domain, tup)))
-
-    basis = []
-    for t in range(n + 1):
-        for m in monomial_scalars(n, 2):
-            basis.append(
-                DSection(Derivation.basis(n, t).scale(m), AtiyahForm.zero(n, 0))
-            )
-    for m in monomial_scalars(n, 2):
-        basis.append(DSection(Derivation.zero(n), AtiyahForm.from_scalar(m)))
-    injective = _injective_on_truncation(
-        basis, morphism.phi0, section_coordinates, n, 2
-    )
-    out.append(
-        ("phi0-injective", injective, None if injective else {"error": "kernel found"})
-    )
-    return out
+        ),
+        # the domain bracket is a Lie algebra bracket for a closed shift
+        Family(
+            "m39-lie",
+            max(3, ctx.samples // 10),
+            draw,
+            lambda *tup: {"domain-jacobi": jacobi_residual(domain, list(tup))},
+        ),
+        _injectivity("phi0-injective", basis, morphism.phi0, section_coordinates, n),
+    ]
 
 
-def run_morphism_5_9(ctx):
-    from .observables import section_coordinates
-
-    out = []
+def morphism_5_9(ctx):
     n = ctx.n
     omega = default_twist(ctx)
-    source = build_graph_linf(omega)
     xi = graph_of_form(omega)
-    target = build_two_term(LCourantStructure.twisted(omega))
     morphism = injective_graph_morphism(omega)
-    out.extend(
-        morphism_residuals(
-            morphism,
-            source,
-            target,
-            ctx.samples,
-            derive_seed(ctx.seed, "m59-res"),
-            min(ctx.max_degree, 2),
-            ctx.coeff_bound,
-        )
-    )
+
     # supporting identities on random Hamiltonian pairs and triples
-    for case in range(ctx.samples):
-        rng = _rng(ctx, "m59-eqs", case)
-        a = random_hamiltonian(xi, rng, 1, ctx.coeff_bound)
-        b = random_hamiltonian(xi, rng, 1, ctx.coeff_bound)
-        c = random_hamiltonian(xi, rng, 1, ctx.coeff_bound)
-        lie_a_b = lie_derivative(a.ham_der, b.alpha)
-        out.append(
-            _ok(
-                f"lie-split[{case}]",
-                lie_a_b
-                - observable_bracket(a, b)
-                - differential(contract(a.ham_der, b.alpha)),
-            )
-        )
-        corrector = (
-            contract(a.ham_der, b.alpha) - contract(b.ham_der, a.alpha)
+    def draw(rng, case):
+        return tuple(random_hamiltonian(xi, rng, 1, ctx.coeff_bound) for _ in range(3))
+
+    def corr(u, v):
+        return (
+            contract(u.ham_der, v.alpha) - contract(v.ham_der, u.alpha)
         ).scale(Fraction(1, 2))
-        out.append(
-            _ok(
-                f"lie-antisym[{case}]",
-                lie_a_b
-                - lie_derivative(b.ham_der, a.alpha)
-                - (observable_bracket(a, b) + differential(corrector)).scale(2),
-            )
-        )
-        out.append(
-            _ok(
-                f"bracket-via-form[{case}]",
-                observable_bracket(a, b)
-                - contract(a.ham_der, contract(b.ham_der, omega)),
-            )
-        )
 
-        def corr(u, v):
-            return (
-                contract(u.ham_der, v.alpha) - contract(v.ham_der, u.alpha)
-            ).scale(Fraction(1, 2))
-
+    def checks(a, b, c):
+        lie_a_b = lie_derivative(a.ham_der, b.alpha)
         triple = contract(
             a.ham_der, contract(b.ham_der, contract(c.ham_der, omega))
         ).scale(3)
@@ -450,84 +407,99 @@ def run_morphism_5_9(ctx):
             + contract(commutator(b.ham_der, c.ham_der), a.alpha)
             + contract(commutator(c.ham_der, a.ham_der), b.alpha)
         )
-        out.append(_ok(f"triple-contraction[{case}]", lhs - triple - cyc))
+        return {
+            "lie-split": lie_a_b
+            - observable_bracket(a, b)
+            - differential(contract(a.ham_der, b.alpha)),
+            "lie-antisym": lie_a_b
+            - lie_derivative(b.ham_der, a.alpha)
+            - (observable_bracket(a, b) + differential(corr(a, b))).scale(2),
+            "bracket-via-form": observable_bracket(a, b)
+            - contract(a.ham_der, contract(b.ham_der, omega)),
+            "triple-contraction": lhs - triple - cyc,
+        }
 
-    forms_basis = []
-    for a_idx in range(n + 1):
-        for m in monomial_scalars(n, 2):
-            forms_basis.append(
-                hamiltonian_form(AtiyahForm(n, 1, {(a_idx,): m}), xi)
-            )
-    injective0 = _injective_on_truncation(
-        forms_basis, morphism.phi0, section_coordinates, n, 2
-    )
-    out.append(
-        ("phi0-injective", injective0, None if injective0 else {"error": "kernel found"})
-    )
-    injective1 = _injective_on_truncation(
-        monomial_scalars(n, 2), morphism.phi1, lambda s: [s], n, 2
-    )
-    out.append(
-        ("phi1-injective", injective1, None if injective1 else {"error": "kernel found"})
-    )
-    return out
+    forms_basis = [
+        hamiltonian_form(AtiyahForm(n, 1, {(a_idx,): m}), xi)
+        for a_idx in range(n + 1)
+        for m in monomial_scalars(n, 2)
+    ]
+    return [
+        *morphism_residuals(
+            morphism,
+            build_graph_linf(omega),
+            build_two_term(LCourantStructure.twisted(omega)),
+            ctx.samples,
+            derive_seed(ctx.seed, "m59-res"),
+            min(ctx.max_degree, 2),
+            ctx.coeff_bound,
+        ),
+        Family("m59-eqs", ctx.samples, draw, checks),
+        _injectivity("phi0-injective", forms_basis, morphism.phi0, section_coordinates, n),
+        _injectivity("phi1-injective", monomial_scalars(n, 2), morphism.phi1, lambda s: [s], n),
+    ]
 
 
-def run_cohomologous_iso(ctx):
-    out = []
+def cohomologous_iso_suite(ctx):
     n = ctx.n
     omega = default_twist(ctx)
-    for case in range(max(1, ctx.samples // 5)):
-        rng = _rng(ctx, "coho", case)
+
+    def draw(rng, case):
         if case == 0 and "B" in ctx.forms:
             b_form = ctx.forms["B"]
         else:
             b_form = random_form(n, 2, rng, min(ctx.max_degree, 2), ctx.coeff_bound)
+        return case, b_form, random_section(n, 1, rng, 1, ctx.coeff_bound)
+
+    def checks(case, b_form, e):
         morphism = cohomologous_iso(omega, b_form)
         source = build_two_term(LCourantStructure.twisted(omega))
         target = build_two_term(
             LCourantStructure.twisted(omega + differential(b_form))
         )
-        for label, ok, witness in morphism_residuals(
-            morphism, source, target, 3, derive_seed(ctx.seed, "coho-res", case), 1, ctx.coeff_bound
-        ):
-            out.append((f"case{case}:{label}", ok, witness))
-        matrix = section_map_matrix(morphism.phi0, n, 1)
-        det = linalg.determinant(matrix)
-        out.append(
-            (
-                f"case{case}:invertible",
-                not det.is_zero(),
-                None if not det.is_zero() else {"determinant": str(det)},
+        seed = derive_seed(ctx.seed, "coho-res", case)
+        out = {
+            label: CheckResult(ok, label, witness)
+            for label, ok, witness in morphism_residuals(
+                morphism, source, target, 3, seed, 1, ctx.coeff_bound
             )
+        }
+        det = linalg.determinant(section_map_matrix(morphism.phi0, n, 1))
+        out["invertible"] = CheckResult(
+            not det.is_zero(), "invertible", {"determinant": str(det)}
         )
         inverse = cohomologous_iso(omega + differential(b_form), -b_form)
-        e = random_section(n, 1, rng, 1, ctx.coeff_bound)
-        round_trip = inverse.phi0(morphism.phi0(e)) - e
-        out.append(_ok(f"case{case}:inverse-composes", round_trip))
-    return out
+        out["inverse-composes"] = inverse.phi0(morphism.phi0(e)) - e
+        return out
+
+    return [
+        Family("coho", max(1, ctx.samples // 5), draw, checks, label="case{case}:{name}")
+    ]
 
 
-def run_exact_curvature(ctx):
-    out = []
+def exact_curvature(ctx):
     n = ctx.n
     omega = default_twist(ctx)
     structure = LCourantStructure.twisted(omega)
     flat = curvature(Connection.zero(n), structure)
-    out.append(_ok("zero-splitting-curvature", flat - omega))
-    out.append(_ok("curvature-closed", differential(flat)))
-    for case in range(ctx.samples):
-        rng = _rng(ctx, "curv", case)
+
+    def draw(rng, case):
         if case == 0 and "theta" in ctx.forms:
-            theta = ctx.forms["theta"]
-        else:
-            theta = random_form(n, 2, rng, ctx.max_degree, ctx.coeff_bound)
+            return (ctx.forms["theta"],)
+        return (random_form(n, 2, rng, ctx.max_degree, ctx.coeff_bound),)
+
+    def checks(theta):
         shifted = curvature(Connection.zero(n).shifted(theta), structure)
-        out.append(_ok(f"shift-law[{case}]", shifted - flat - differential(theta)))
-        out.append(
-            _ok(f"primitive-reproduces[{case}]", differential(primitive(shifted)) - shifted)
-        )
-    return out
+        return {
+            "shift-law": shifted - flat - differential(theta),
+            "primitive-reproduces": differential(primitive(shifted)) - shifted,
+        }
+
+    return [
+        outcome("zero-splitting-curvature", flat - omega),
+        outcome("curvature-closed", differential(flat)),
+        Family("curv", ctx.samples, draw, checks),
+    ]
 
 
 def _degenerate_fixture(n):
@@ -553,54 +525,42 @@ def _fixture_hamiltonian(xi, rng, coeff_bound):
     return hamiltonian_form(AtiyahForm.from_scalar(s), xi)
 
 
-def run_observables(ctx):
-    out = []
+def observables(ctx):
     n = ctx.n
-    omega = default_twist(ctx)
-    xi = graph_of_form(omega)
-    out.append(
-        (
-            "graph-isotropic",
-            is_isotropic(xi).ok,
-            None if is_isotropic(xi).ok else is_isotropic(xi).witness,
+    xi = graph_of_form(default_twist(ctx))
+
+    def draw(rng, case):
+        return tuple(
+            random_hamiltonian(xi, rng, ctx.max_degree, ctx.coeff_bound) for _ in range(3)
         )
-    )
-    involutive = is_involutive(
-        xi, samples=3, seed=derive_seed(ctx.seed, "obs-inv")
-    )
-    out.append(("graph-involutive", involutive.ok, involutive.witness))
-    for case in range(ctx.samples):
-        rng = _rng(ctx, "obs", case)
-        a = random_hamiltonian(xi, rng, ctx.max_degree, ctx.coeff_bound)
-        b = random_hamiltonian(xi, rng, ctx.max_degree, ctx.coeff_bound)
-        c = random_hamiltonian(xi, rng, ctx.max_degree, ctx.coeff_bound)
-        out.append(
-            _ok(
-                f"antisymmetry[{case}]",
-                observable_bracket(a, b) + observable_bracket(b, a),
-            )
-        )
-        out.append(_ok(f"jacobiator[{case}]", jacobiator_residual(a, b, c)))
+
+    def checks(a, b, c):
         bracket = observable_bracket_hamiltonian(a, b)
-        member = xi.contains(
-            DSection(bracket.ham_der, differential(bracket.alpha))
-        )
-        out.append(
-            (
-                f"closure[{case}]",
+        member = xi.contains(DSection(bracket.ham_der, differential(bracket.alpha)))
+        return {
+            "antisymmetry": observable_bracket(a, b) + observable_bracket(b, a),
+            "jacobiator": jacobiator_residual(a, b, c),
+            "closure": CheckResult(
                 member is not None,
+                "closure",
                 None if member is not None else {"bracket": str(bracket)},
-            )
-        )
-    out.extend(
-        induced_algebroid_residuals(
+            ),
+        }
+
+    table = [
+        outcome("graph-isotropic", is_isotropic(xi)),
+        outcome(
+            "graph-involutive",
+            is_involutive(xi, samples=3, seed=derive_seed(ctx.seed, "obs-inv")),
+        ),
+        Family("obs", ctx.samples, draw, checks),
+        *induced_algebroid_residuals(
             xi, max(3, ctx.samples // 10), derive_seed(ctx.seed, "obs-alg")
-        )
-    )
+        ),
+    ]
     ambiguity = hamiltonian_ambiguity(xi)
-    nondeg = linalg.rank(xi._form_matrix()) == n + 1
-    if nondeg:
-        out.append(
+    if linalg.rank(xi._form_matrix()) == n + 1:
+        table.append(
             (
                 "ambiguity-empty",
                 not ambiguity,
@@ -611,63 +571,72 @@ def run_observables(ctx):
     # representative independence on a degenerate fixture
     fixture = _degenerate_fixture(n)
     amb = hamiltonian_ambiguity(fixture)
-    out.append(
+
+    def draw_fixture(rng, case):
+        a = _fixture_hamiltonian(fixture, rng, ctx.coeff_bound)
+        b = _fixture_hamiltonian(fixture, rng, ctx.coeff_bound)
+        return a, b, [random_polynomial(n, rng, 1, ctx.coeff_bound) for _ in amb]
+
+    def fixture_checks(a, b, shifts):
+        shifted_der = a.ham_der
+        for amb_d, c in zip(amb, shifts):
+            shifted_der = shifted_der + amb_d.scale(c)
+        shifted = HamiltonianForm(a.alpha, shifted_der)
+        return {
+            "representative-independence": observable_bracket(shifted, b)
+            - observable_bracket(a, b)
+        }
+
+    return table + [
         (
             "fixture-ambiguity-nonzero",
             bool(amb),
             None if amb else {"error": "expected a nonzero ambiguity basis"},
-        )
-    )
-    for case in range(max(3, ctx.samples // 5)):
-        rng = _rng(ctx, "obs-fix", case)
-        a = _fixture_hamiltonian(fixture, rng, ctx.coeff_bound)
-        b = _fixture_hamiltonian(fixture, rng, ctx.coeff_bound)
-        base = observable_bracket(a, b)
-        shifted_der = a.ham_der
-        for amb_d in amb:
-            shifted_der = shifted_der + amb_d.scale(
-                random_polynomial(n, rng, 1, ctx.coeff_bound)
-            )
-        shifted = HamiltonianForm(a.alpha, shifted_der)
-        out.append(
-            _ok(f"representative-independence[{case}]", observable_bracket(shifted, b) - base)
-        )
-    return out
+        ),
+        Family("obs-fix", max(3, ctx.samples // 5), draw_fixture, fixture_checks),
+    ]
 
 
-def run_useful_lemma(ctx):
-    out = []
-    omega = default_twist(ctx)
-    xi = graph_of_form(omega)
-    for case in range(ctx.samples):
-        rng = _rng(ctx, "useful", case)
-        hams = [
+def useful_lemma(ctx):
+    xi = graph_of_form(default_twist(ctx))
+
+    def draw(rng, case):
+        return tuple(
             random_hamiltonian(xi, rng, min(ctx.max_degree, 2), ctx.coeff_bound)
             for _ in range(4)
-        ]
-        out.append(_ok(f"three-forms[{case}]", useful_lemma_residual(hams[:3])))
-        out.append(_ok(f"four-forms[{case}]", useful_lemma_residual(hams)))
-    return out
+        )
+
+    def checks(*hams):
+        return {
+            "three-forms": useful_lemma_residual(hams[:3]),
+            "four-forms": useful_lemma_residual(hams),
+        }
+
+    return [Family("useful", ctx.samples, draw, checks)]
 
 
-def run_dg_leibniz(ctx):
-    out = []
-    omega = default_twist(ctx)
-    structure = build_dg_leibniz(omega)
+def dg_leibniz(ctx):
+    structure = build_dg_leibniz(default_twist(ctx))
     terms = structure.terms
-    for case in range(ctx.samples):
-        rng = _rng(ctx, "dgl", case)
-        a = structure.random_element(rng.randrange(terms), rng, 1, ctx.coeff_bound)
-        b = structure.random_element(rng.randrange(terms), rng, 1, ctx.coeff_bound)
-        c = structure.random_element(rng.randrange(terms), rng, 1, ctx.coeff_bound)
-        out.append(_ok(f"derivation-rule[{case}]", structure.derivation_residual(a, b)))
-        out.append(_ok(f"graded-leibniz[{case}]", structure.leibniz_residual(a, b, c)))
-        if terms > 1:
-            hi = structure.random_element(
-                1 + rng.randrange(terms - 1), rng, 1, ctx.coeff_bound
-            )
-            out.append(_ok(f"positive-degree-vanishes[{case}]", structure.bracket(hi, b)))
-    return out
+
+    def element(rng, degree):
+        return structure.random_element(degree, rng, 1, ctx.coeff_bound)
+
+    def draw(rng, case):
+        a, b, c = (element(rng, rng.randrange(terms)) for _ in range(3))
+        hi = element(rng, 1 + rng.randrange(terms - 1)) if terms > 1 else None
+        return a, b, c, hi
+
+    def checks(a, b, c, hi):
+        out = {
+            "derivation-rule": structure.derivation_residual(a, b),
+            "graded-leibniz": structure.leibniz_residual(a, b, c),
+        }
+        if hi is not None:
+            out["positive-degree-vanishes"] = structure.bracket(hi, b)
+        return out
+
+    return [Family("dgl", ctx.samples, draw, checks)]
 
 
 def _random_biderivation(n, rng, coeff_bound):
@@ -678,72 +647,69 @@ def _random_biderivation(n, rng, coeff_bound):
     return JacobiBiderivation.from_entries(n, entries)
 
 
-def run_jacobi(ctx):
-    out = []
+def jacobi(ctx):
     n = ctx.n
-    for case in range(ctx.samples):
-        rng = _rng(ctx, "jacobi", case)
+
+    def draw(rng, case):
         J = _random_biderivation(n, rng, 2)
-        result = is_jacobi(J, samples=2, seed=derive_seed(ctx.seed, "jac-r", case))
+        s, t, f = (random_polynomial(n, rng, 2, 2) for _ in range(3))
+        return J, s, t, f, derive_seed(ctx.seed, "jac-r", case)
+
+    def checks(J, s, t, f, seed):
+        result = is_jacobi(J, samples=2, seed=seed)
         agree = result.witness["bracket_route"] == result.witness["graph_route"]
-        out.append(
-            (
-                f"route-agreement[{case}]",
-                agree,
-                None if agree else result.witness,
-            )
-        )
-        # biderivation property of the induced bracket
-        s = random_polynomial(n, rng, 2, 2)
-        t = random_polynomial(n, rng, 2, 2)
-        f = random_polynomial(n, rng, 2, 2)
-        res = (
-            jacobi_bracket(J, s, f * t)
+        return {
+            "route-agreement": CheckResult(
+                agree, "route-agreement", None if agree else result.witness
+            ),
+            # biderivation property of the induced bracket
+            "biderivation": jacobi_bracket(J, s, f * t)
             - f * jacobi_bracket(J, s, t)
-            - section_derivation(J, s).symbol_apply(f) * t
-        )
-        out.append(_ok(f"biderivation[{case}]", res))
+            - section_derivation(J, s).symbol_apply(f) * t,
+        }
 
     # the canonical contact-type bracket in one variable
     contact = JacobiBiderivation.from_closed_form(AtiyahForm.basis(1, (0, 1)))
-    x = Scalar.variable(1, 1)
-    value = jacobi_bracket(contact, x, Scalar.one(1))
-    out.append(
+    value = jacobi_bracket(contact, Scalar.variable(1, 1), Scalar.one(1))
+    flipped = JacobiBiderivation(1, [[-v for v in row] for row in contact.matrix])
+    return [
+        Family("jacobi", ctx.samples, draw, checks),
         (
             "contact-bracket-value",
             value == -1,
             None if value == -1 else {"got": str(value)},
-        )
-    )
-    verdict = is_jacobi(contact, samples=3, seed=derive_seed(ctx.seed, "jac-c"))
-    out.append(("contact-is-jacobi", verdict.ok, verdict.witness if not verdict.ok else None))
-    flipped = JacobiBiderivation(
-        1, [[-v for v in row] for row in contact.matrix]
-    )
-    verdict = is_jacobi(flipped, samples=3, seed=derive_seed(ctx.seed, "jac-f"))
-    out.append(("evaluation-orientation-is-jacobi", verdict.ok, verdict.witness if not verdict.ok else None))
-    return out
+        ),
+        outcome(
+            "contact-is-jacobi",
+            is_jacobi(contact, samples=3, seed=derive_seed(ctx.seed, "jac-c")),
+        ),
+        outcome(
+            "evaluation-orientation-is-jacobi",
+            is_jacobi(flipped, samples=3, seed=derive_seed(ctx.seed, "jac-f")),
+        ),
+    ]
 
 
-def run_twisted_jacobi(ctx):
-    out = []
+def twisted_jacobi(ctx):
     n = ctx.n
-    for case in range(max(2, ctx.samples // 5)):
-        rng = _rng(ctx, "twj", case)
+
+    def draw(rng, case):
         J = _random_biderivation(n, rng, 2)
-        twist = differential(random_form(n, 2, rng, 1, 2))
+        return J, differential(random_form(n, 2, rng, 1, 2))
+
+    def checks(J, twist):
         route_a = is_twisted_jacobi(J, twist).ok
         route_b = is_involutive(graph(J), twist=twist).ok
-        out.append(
-            (
-                f"cross-oracle[{case}]",
-                route_a == route_b,
-                None
-                if route_a == route_b
-                else {"bracket_route": route_a, "graph_route": route_b},
+        same = route_a == route_b
+        return {
+            "cross-oracle": CheckResult(
+                same,
+                "cross-oracle",
+                None if same else {"bracket_route": route_a, "graph_route": route_b},
             )
-        )
+        }
 
+    table = [Family("twj", max(2, ctx.samples // 5), draw, checks)]
     if n >= 2:
         # a genuinely twisted structure: gauge a product bracket by a
         # non-closed 2-form and twist by its differential
@@ -751,20 +717,14 @@ def run_twisted_jacobi(ctx):
         shear = AtiyahForm(n, 2, {(1, n): Scalar.variable(n, 1)})
         twist = differential(shear)
         twisted = gauge_jacobi(base, shear)
-        verdict = is_twisted_jacobi(twisted, twist)
-        out.append(("gauged-is-twisted", verdict.ok, verdict.witness if not verdict.ok else None))
+        table.append(outcome("gauged-is-twisted", is_twisted_jacobi(twisted, twist)))
     else:
         # one variable admits no nonzero twist: fall back to the
         # canonical contact-type bracket
         twisted = JacobiBiderivation.from_closed_form(AtiyahForm.basis(1, (0, 1)))
         twist = AtiyahForm.zero(1, 3)
-    out.extend(
-        jet_algebroid_residuals(
-            twisted,
-            twist,
-            max(2, ctx.samples // 10),
-            derive_seed(ctx.seed, "twj-jet"),
-        )
+    table += jet_algebroid_residuals(
+        twisted, twist, max(2, ctx.samples // 10), derive_seed(ctx.seed, "twj-jet")
     )
 
     # fixed three-variable negative control: a contact-type bracket is
@@ -774,99 +734,112 @@ def run_twisted_jacobi(ctx):
         n3, 1, {(0,): Scalar.variable(n3, 2), (2,): Scalar.one(n3)}
     )
     contact = JacobiBiderivation.from_closed_form(differential(alpha))
-    spanning = AtiyahForm.basis(n3, (0, 1, 3))
     residual = twisted_jacobi_residual(
         contact,
-        spanning,
+        AtiyahForm.basis(n3, (0, 1, 3)),
         Scalar.variable(n3, 1),
         Scalar.variable(n3, 2),
         Scalar.variable(n3, 3),
     )
-    out.append(
+    detected = not residual.is_zero()
+    table.append(
         (
             "spanning-twist-detected",
-            not residual.is_zero(),
-            None if not residual.is_zero() else {"error": "residual vanished"},
+            detected,
+            None if detected else {"error": "residual vanished"},
         )
     )
-    return out
+    return table
 
 
-def run_gauge(ctx):
-    out = []
+def gauge(ctx):
     n = ctx.n
     omni = LCourantStructure.omni(n)
-    for case in range(ctx.samples):
-        rng = _rng(ctx, "gauge", case)
+
+    def draw(rng, case):
         b_closed = differential(random_form(n, 1, rng, ctx.max_degree, ctx.coeff_bound))
         e1 = random_section(n, 1, rng, 1, ctx.coeff_bound)
-        e2 = random_section(n, 1, rng, 1, ctx.coeff_bound)
-        res = gauge_auto(b_closed, omni.bracket(e1, e2)) - omni.bracket(
-            gauge_auto(b_closed, e1), gauge_auto(b_closed, e2)
-        )
-        out.append(_ok(f"auto-intertwines[{case}]", res))
+        return b_closed, e1, random_section(n, 1, rng, 1, ctx.coeff_bound)
+
+    def checks(b_closed, e1, e2):
+        return {
+            "auto-intertwines": gauge_auto(b_closed, omni.bracket(e1, e2))
+            - omni.bracket(gauge_auto(b_closed, e1), gauge_auto(b_closed, e2))
+        }
 
     base = JacobiBiderivation.from_entries(n, {(0, 1): Scalar.one(n)})
     xi = graph(base)
-    for case in range(max(2, ctx.samples // 5)):
-        rng = _rng(ctx, "gauge-tau", case)
-        b1 = differential(random_form(n, 1, rng, 1, 2))
-        b2 = differential(random_form(n, 1, rng, 1, 2))
+
+    def draw_tau(rng, case):
+        return tuple(differential(random_form(n, 1, rng, 1, 2)) for _ in range(2))
+
+    def tau_checks(b1, b2):
         composed = dirac_gauge(dirac_gauge(xi, b1), b2)
-        direct = dirac_gauge(xi, b1 + b2)
-        ok = span_equal(composed, direct)
-        out.append((f"tau-composes[{case}]", ok, None if ok else {"error": "span mismatch"}))
-        inv = is_involutive(dirac_gauge(xi, b1))
-        out.append((f"tau-involutive[{case}]", inv.ok, inv.witness))
+        same = span_equal(composed, dirac_gauge(xi, b1 + b2))
+        out = {
+            "tau-composes": CheckResult(
+                same, "tau-composes", None if same else {"error": "span mismatch"}
+            ),
+            "tau-involutive": is_involutive(dirac_gauge(xi, b1)),
+        }
         try:
             transformed = gauge_jacobi(base, b1)
         except NonInvertible:
             # singular draw: the graph law is vacuous here
-            out.append((f"graph-law[{case}]", True, None))
-            continue
-        ok = span_equal(graph(transformed), dirac_gauge(xi, b1))
-        out.append((f"graph-law[{case}]", ok, None if ok else {"error": "graph mismatch"}))
+            out["graph-law"] = CheckResult(True, "graph-law")
+            return out
+        same = span_equal(graph(transformed), dirac_gauge(xi, b1))
+        out["graph-law"] = CheckResult(
+            same, "graph-law", None if same else {"error": "graph mismatch"}
+        )
+        return out
 
     found = find_noninvertible_pair(max(2, n))
-    ok = found is not None
-    if ok:
-        J_bad, B_bad = found
-        try:
-            gauge_jacobi(J_bad, B_bad)
-            ok = False
-            witness = {"error": "expected the gauge move to be singular"}
-        except NonInvertible as exc:
-            witness = None
-    else:
+    if found is None:
         witness = {"error": "no singular pair found in the search box"}
-    out.append(("noninvertible-witness", ok, witness))
-    return out
+    else:
+        try:
+            gauge_jacobi(*found)
+            witness = {"error": "expected the gauge move to be singular"}
+        except NonInvertible:
+            witness = None
+    return [
+        Family("gauge", ctx.samples, draw, checks),
+        Family("gauge-tau", max(2, ctx.samples // 5), draw_tau, tau_checks),
+        ("noninvertible-witness", witness is None, witness),
+    ]
 
 
 @dataclass(frozen=True)
 class SuiteSpec:
+    """A registered suite.  ``omega`` says what it needs of a named twist:
+    None when it never reads ``forms.omega``, "closed" when it reads it
+    as its closed 3-form twist, and "nondegenerate" when it also builds
+    the graph's observables from it."""
+
     name: str
     min_n: int
     max_n: int | None
+    omega: str | None
     runner: object
 
 
 SUITES = {
     spec.name: spec
     for spec in [
-        SuiteSpec("atiyah-calculus", 1, None, run_atiyah_calculus),
-        SuiteSpec("lcourant-axioms", 1, None, run_lcourant_axioms),
-        SuiteSpec("linf-oracle", 1, None, run_linf_oracle),
-        SuiteSpec("semidirect-agreement", 1, None, run_semidirect_agreement),
-        SuiteSpec("morphism-3-9", 1, None, run_morphism_3_9),
-        SuiteSpec("morphism-5-9", 2, 2, run_morphism_5_9),
-        SuiteSpec("cohomologous-iso", 1, None, run_cohomologous_iso),
-        SuiteSpec("exact-curvature", 1, None, run_exact_curvature),
-        SuiteSpec("observables", 2, 2, run_observables),
-        SuiteSpec("useful-lemma", 2, 2, run_useful_lemma),
-        SuiteSpec("dg-leibniz", 2, 2, run_dg_leibniz),
-        SuiteSpec("jacobi", 1, None, run_jacobi),
-        SuiteSpec("twisted-jacobi", 1, None, run_twisted_jacobi),
-        SuiteSpec("gauge", 1, None, run_gauge),
+        SuiteSpec("atiyah-calculus", 1, None, None, _table_runner(atiyah_calculus)),
+        SuiteSpec("lcourant-axioms", 1, None, "closed", _table_runner(lcourant_axioms_suite)),
+        SuiteSpec("linf-oracle", 1, None, "closed", _table_runner(linf_oracle)),
+        SuiteSpec("semidirect-agreement", 1, None, None, _table_runner(semidirect_agreement)),
+        SuiteSpec("morphism-3-9", 1, None, None, _table_runner(morphism_3_9)),
+        SuiteSpec("morphism-5-9", 2, 2, "nondegenerate", _table_runner(morphism_5_9)),
+        SuiteSpec("cohomologous-iso", 1, None, "closed", _table_runner(cohomologous_iso_suite)),
+        SuiteSpec("exact-curvature", 1, None, "closed", _table_runner(exact_curvature)),
+        SuiteSpec("observables", 2, 2, "closed", _table_runner(observables)),
+        SuiteSpec("useful-lemma", 2, 2, "closed", _table_runner(useful_lemma)),
+        SuiteSpec("dg-leibniz", 2, 2, "nondegenerate", _table_runner(dg_leibniz)),
+        SuiteSpec("jacobi", 1, None, None, _table_runner(jacobi)),
+        SuiteSpec("twisted-jacobi", 1, None, None, _table_runner(twisted_jacobi)),
+        SuiteSpec("gauge", 1, None, None, _table_runner(gauge)),
     ]
 }

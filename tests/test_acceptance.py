@@ -175,14 +175,14 @@ def _flatten(scalars, n, deg):
     for s in scalars:
         assert s.is_polynomial()
         for mono in monomials_upto(n, deg):
-            out.append(s.num.coefficient(mono))
+            out.append(Scalar.from_fraction(n, s.num.coefficient(mono)))
     return out
 
 
 def _truncated_injective(basis, fn, coords, n, deg):
     cols = [_flatten(coords(fn(b)), n, deg) for b in basis]
     rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-    return linalg.fraction_rank(rows) == len(cols)
+    return linalg.rank(rows) == len(cols)
 
 
 def test_criterion_05_morphism_suites():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from omnilie.cli import MAX_FORMS, MAX_FORM_TERMS, MAX_N, MAX_SAMPLES, load_scenario, main
-from omnilie import serialize
+from omnilie import serialize, suites
 from omnilie.atiyah import AtiyahForm
 from omnilie.scalar import MAX_DEGREE
 
@@ -61,6 +62,36 @@ def test_verify_sabotage_exits_one_with_witness(tmp_path):
     failing = [e for e in payload["results"] if not e["residual_is_zero"]]
     assert failing and "witness" in failing[0]
     assert "residual" in failing[0]["witness"]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_verify_exits_two_on_an_unwritable_report(tmp_path, capsys, where):
+    scenario = write_scenario(tmp_path)
+    target = tmp_path / "out"
+    target.mkdir()
+    report = target / "missing" / "r.json" if where == "missing directory" else target
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(report)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("input error: report: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    # no temporary file is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+    assert list(target.iterdir()) == []
+
+
+def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch):
+    def broken(ctx):
+        raise RuntimeError("a fault of the program")
+
+    spec = suites.SUITES["atiyah-calculus"]
+    monkeypatch.setitem(suites.SUITES, spec.name, dataclasses.replace(spec, runner=broken))
+    scenario = write_scenario(tmp_path)
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: a fault of the program\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_rejects_bad_scenarios(tmp_path, capsys):

@@ -10,7 +10,6 @@ from omnilie.dcourant import DSection
 from omnilie.observables import (
     HamiltonianForm,
     Subbundle,
-    full_derivation_subbundle,
     graph_of_form,
     hamiltonian_ambiguity,
     hamiltonian_derivation,
@@ -27,6 +26,13 @@ from omnilie.observables import (
 from omnilie.scalar import Polynomial, Scalar
 
 OMEGA2 = AtiyahForm.basis(2, (0, 1, 2))
+
+
+def full_derivation_subbundle(n, p):
+    """The subbundle of bare derivations (zero form part)."""
+    return Subbundle(
+        [DSection(Derivation.basis(n, t), AtiyahForm.zero(n, p)) for t in range(n + 1)]
+    )
 
 
 def test_graph_generators():

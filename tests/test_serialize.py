@@ -3,11 +3,7 @@ import random
 import pytest
 
 from omnilie import serialize
-from omnilie.gauge import random_derivation
 from omnilie.atiyah import AtiyahForm, random_form
-from omnilie.dcourant import random_section
-from omnilie.observables import graph_of_form
-from omnilie.jacobi import JacobiBiderivation
 from omnilie.scalar import Scalar, random_polynomial
 
 
@@ -65,43 +61,3 @@ def test_form_rejects_bad_indices():
         serialize.form_from_obj(
             2, {"degree": 1, "coeffs": [{"indices": [5], "value": {"numerator": [], "denominator": [{"num": "1", "den": "1", "exps": [0, 0]}]}}]}
         )
-
-
-def test_derivation_and_section_round_trips():
-    rng = random.Random(3)
-    d = random_derivation(2, rng, 2, 2)
-    assert serialize.derivation_from_obj(2, serialize.derivation_to_obj(d)) == d
-    e = random_section(2, 2, rng, 2, 2)
-    obj = serialize.section_to_obj(e)
-    assert obj["p"] == 2
-    assert serialize.section_from_obj(2, obj) == e
-
-
-def test_subbundle_round_trip():
-    xi = graph_of_form(AtiyahForm.basis(2, (0, 1, 2)))
-    obj = serialize.subbundle_to_obj(xi)
-    back = serialize.subbundle_from_obj(2, obj)
-    assert back.generators == xi.generators
-
-
-def test_biderivation_round_trip():
-    J = JacobiBiderivation.from_entries(2, {(0, 1): Scalar.variable(2, 1)})
-    back = serialize.biderivation_from_obj(serialize.biderivation_to_obj(J))
-    assert back == J
-
-
-def test_structure_descriptor_round_trip():
-    from omnilie.dcourant import LCourantStructure
-
-    omni = LCourantStructure.omni(2)
-    obj = serialize.structure_to_obj(omni)
-    assert obj == {"name": "omni", "twist": None}
-    back = serialize.structure_from_obj(2, obj)
-    assert back.name == "omni" and back.twist is None
-
-    twisted = LCourantStructure.twisted(AtiyahForm.basis(2, (0, 1, 2)))
-    back = serialize.structure_from_obj(2, serialize.structure_to_obj(twisted))
-    assert back.name == "twisted" and back.twist == twisted.twist
-
-    with pytest.raises(ValueError):
-        serialize.structure_from_obj(2, {"name": "mystery", "twist": None})

@@ -72,15 +72,16 @@ def test_negative_controls_report_witnesses():
     assert control and control[0][1]
 
 
-# Recorded with the suites written out case by case, before they became
-# tables of identity families: the entry count, the sha256 of the
-# "suite\tlabel\tok" lines and the counted operations (multiplies,
-# coefficient products, gcd calls) of every suite the context admits.
-# The report lists labels of failing cases only, so its pins cannot catch
-# a relabelled case or a case drawn from other inputs; these can.
+# Per model size: the entry count and the sha256 of the
+# "suite\tlabel\tok" lines of every suite the context admits, and the
+# counted operations (multiplies, coefficient products, gcd calls).  The
+# hashes were recorded from the suites as written out case by case,
+# before they became tables of identity families.  The report lists the
+# labels of failing cases only, so its pins cannot catch a relabelled
+# case or a case drawn from other inputs; these can.
 RECORDED_RUNS = {
-    1: (134, "81785cd8332e7d9d3e9442f050fef613e30f26746b5d4a04115e7c86fa57c900", (16543, 62345, 23)),
-    2: (198, "7c413298031ca87440bda6012c15e83e54d002908547dc7620a7b0af9655813c", (34918, 146466, 0)),
+    1: (134, "81785cd8332e7d9d3e9442f050fef613e30f26746b5d4a04115e7c86fa57c900", (16503, 62199, 23)),
+    2: (198, "7c413298031ca87440bda6012c15e83e54d002908547dc7620a7b0af9655813c", (35693, 145374, 0)),
 }
 
 
@@ -95,3 +96,35 @@ def test_labels_outcomes_and_counts_match_the_recorded_run(n, count_operations):
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     totals = (counts["poly_mul"], counts["coeff_products"], counts["gcd"])
     assert (len(lines), digest, totals) == RECORDED_RUNS[n]
+
+
+def test_one_zero_test_and_one_witness_format():
+    from omnilie.linf import GradedElement
+    from omnilie.sampling import CheckResult, check_cases, outcome
+    from omnilie.scalar import Scalar
+
+    x = Scalar.variable(1, 1)
+    zero = Scalar.zero(1)
+    assert outcome("a", None) == ("a", True, None)
+    assert outcome("a", GradedElement(1, zero)) == ("a", True, None)
+    assert outcome("a", GradedElement(1, x)) == ("a", False, {"residual": "x1"})
+    assert outcome("a", CheckResult(False, "b", {"error": "e"})) == ("a", False, {"error": "e"})
+    assert outcome("a", CheckResult(True, "b", {"error": "e"})) == ("a", True, None)
+
+    shown = []
+
+    def context(value):
+        shown.append(value)
+        return {"inputs": [str(value)]}
+
+    rows = check_cases(
+        enumerate([(zero,), (x,)]), lambda v: {"id": v, "twice": v + v}, context
+    )
+    assert rows == [
+        ("id[0]", True, None),
+        ("twice[0]", True, None),
+        ("id[1]", False, {"inputs": ["x1"], "residual": "x1"}),
+        ("twice[1]", False, {"inputs": ["x1"], "residual": "2*x1"}),
+    ]
+    # the context is built for failing residuals only
+    assert shown == [x, x]
