@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import ArityMismatch, NotClosed
 from .gauge import Derivation
-from .scalar import Scalar, random_polynomial
+from .scalar import Scalar, random_polynomial, sum_of_products
 
 INF = "inf"  # serialization marker for the unit direction
 
@@ -181,27 +181,32 @@ def _basis_action(n, t, s):
     return s.derive(t + 1)
 
 
+def _summed(n, degree, gathered):
+    """The form whose coefficient on each key is the sum of the products
+    gathered under it (see :func:`sum_of_products`)."""
+    out = {}
+    for key, terms in gathered.items():
+        s = sum_of_products(n, terms)
+        if not s.is_zero():
+            out[key] = s
+    return AtiyahForm._raw(n, degree, out)
+
+
 def contract(delta, omega):
     """Interior product: feed the derivation into the first slot."""
     omega = as_form(omega)
     n = omega.n
     if omega.degree == 0:
         return AtiyahForm.zero(n, 0)
-    out = {}
+    gathered = {}
     for key, value in omega.coeffs.items():
         for pos, t in enumerate(key):
             c = delta.coefficient(t)
             if c.is_zero():
                 continue
             rest = key[:pos] + key[pos + 1 :]
-            term = c * value if pos % 2 == 0 else -(c * value)
-            s = out.get(rest)
-            s = term if s is None else s + term
-            if s.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = s
-    return AtiyahForm._raw(n, omega.degree - 1, out)
+            gathered.setdefault(rest, []).append(((-1) ** pos, c, value))
+    return _summed(n, omega.degree - 1, gathered)
 
 
 def evaluate(omega, *derivations):
@@ -225,7 +230,7 @@ def differential(omega):
     """
     omega = as_form(omega)
     n = omega.n
-    out = {}
+    gathered = {}
     for key, value in omega.coeffs.items():
         for t in range(n + 1):
             merged = _merge_index(key, t)
@@ -233,16 +238,9 @@ def differential(omega):
                 continue
             sign, full = merged
             acted = _basis_action(n, t, value)
-            if acted.is_zero():
-                continue
-            term = acted if sign > 0 else -acted
-            s = out.get(full)
-            s = term if s is None else s + term
-            if s.is_zero():
-                out.pop(full, None)
-            else:
-                out[full] = s
-    return AtiyahForm._raw(n, omega.degree + 1, out)
+            if not acted.is_zero():
+                gathered.setdefault(full, []).append((sign, acted, None))
+    return _summed(n, omega.degree + 1, gathered)
 
 
 def lie_derivative(delta, omega):
@@ -258,9 +256,9 @@ def lie_derivative(delta, omega):
     if omega.degree == 0:
         return AtiyahForm.from_scalar(delta.apply(omega.scalar()))
     brackets = _basis_brackets(delta)
-    out = {}
+    gathered = {}
     for key in index_subsets(n, omega.degree):
-        total = delta.apply(omega.coefficient(key))
+        terms = gathered[key] = delta.apply_terms(omega.coefficient(key))
         for pos, t in enumerate(key):
             repl = brackets[t]
             if repl is None:
@@ -277,14 +275,10 @@ def lie_derivative(delta, omega):
                 value = omega.coeffs.get(source)
                 if value is None:
                     continue
-                # e_u sits in slot pos; sorting it home costs sign * (-1)**pos
-                term = cu * value
-                if sign * ((-1) ** pos) < 0:
-                    term = -term
-                total = total - term
-        if not total.is_zero():
-            out[key] = total
-    return AtiyahForm._raw(n, omega.degree, out)
+                # e_u sits in slot pos; sorting it home costs sign * (-1)**pos,
+                # and the bracket term is subtracted
+                terms.append((-sign * (-1) ** pos, cu, value))
+    return _summed(n, omega.degree, gathered)
 
 
 def _basis_brackets(delta):

@@ -39,11 +39,16 @@ from .suites import SUITES, SuiteContext
 
 
 # Size caps of a scenario, far above the shipped and benchmark scenarios
-# (n <= 3, samples <= 32, at most three small forms).
+# (n <= 3, samples <= 32, small forms).
 MAX_N = 8
 MAX_SAMPLES = 1000
-MAX_FORMS = 8
 MAX_FORM_TERMS = 4096
+
+# The forms a scenario may name: the twist ``omega`` of the suites whose
+# table reads it, ``B`` of cohomologous-iso and ``theta`` of
+# exact-curvature.  Any other name is a typo that would silently run the
+# default form, so it is rejected.
+FORM_NAMES = ("B", "omega", "theta")
 
 
 class ScenarioError(ValueError):
@@ -115,12 +120,12 @@ def load_scenario(path):
 
     raw_forms = raw.get("forms") or {}
     _require(isinstance(raw_forms, dict), "forms: must be an object")
-    _require(
-        len(raw_forms) <= MAX_FORMS,
-        f"forms: {len(raw_forms)} forms, above the limit {MAX_FORMS}",
-    )
     forms = {}
     for name, obj in raw_forms.items():
+        _require(
+            name in FORM_NAMES,
+            f"forms.{name}: unknown form (known: {', '.join(FORM_NAMES)})",
+        )
         try:
             form = serialize.form_from_obj(n, obj)
         except (ValueError, KeyError, TypeError) as exc:

@@ -197,20 +197,20 @@ def _axiom_residuals(structure, e1, e2, e3, f):
     """The five bracket-axiom residuals on a fixed input tuple."""
     br = structure.bracket
     pair = structure.pairing
+    anchor1 = structure.anchor(e1)
+    b12, b13 = br(e1, e2), br(e1, e3)
     res = {}
-    res["LC1"] = br(e1, br(e2, e3)) - br(br(e1, e2), e3) - br(e2, br(e1, e3))
-    sym = structure.anchor(e1).symbol_apply(f)
-    res["LC2"] = br(e1, e2.scale(f)) - br(e1, e2).scale(f) - e2.scale(sym)
-    res["LC3"] = commutator(structure.anchor(e1), structure.anchor(e2)) - (
-        structure.anchor(br(e1, e2))
-    )
+    res["LC1"] = br(e1, br(e2, e3)) - br(b12, e3) - br(e2, b13)
+    sym = anchor1.symbol_apply(f)
+    res["LC2"] = br(e1, e2.scale(f)) - b12.scale(f) - e2.scale(sym)
+    res["LC3"] = commutator(anchor1, structure.anchor(e2)) - structure.anchor(b12)
     res["LC4"] = br(e1, e1) - structure.coboundary(
         pair(e1, e1).scalar() * Fraction(1, 2)
     )
     res["LC5"] = (
-        as_form(structure.anchor(e1).apply(pair(e2, e3).scalar()))
-        - pair(br(e1, e2), e3)
-        - pair(e2, br(e1, e3))
+        as_form(anchor1.apply(pair(e2, e3).scalar()))
+        - pair(b12, e3)
+        - pair(e2, b13)
     )
     return res
 

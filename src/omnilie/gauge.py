@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalar import Scalar, random_polynomial
+from .scalar import Scalar, random_polynomial, sum_of_products
 
 
 class Derivation:
@@ -59,21 +59,26 @@ class Derivation:
 
     def apply(self, s):
         """Act on a section: symbol part differentiates, endo part multiplies."""
-        out = self.endo * s
-        for i, a in enumerate(self.symbol_coeffs):
-            if not a.is_zero():
-                out = out + a * s.derive(i + 1)
-        return out
+        return sum_of_products(self.n, self.apply_terms(s))
 
     __call__ = apply
 
+    def apply_terms(self, s):
+        """The products whose sum is ``apply(s)``, as ``(sign, a, b)``
+        triples for :func:`sum_of_products`."""
+        return [(1, self.endo, s), *self.symbol_terms(s)]
+
     def symbol_apply(self, f):
         """Act on a function by the symbol alone (no multiplication part)."""
-        out = Scalar.zero(self.n)
-        for i, a in enumerate(self.symbol_coeffs):
-            if not a.is_zero():
-                out = out + a * f.derive(i + 1)
-        return out
+        return sum_of_products(self.n, self.symbol_terms(f))
+
+    def symbol_terms(self, f, sign=1):
+        """The products whose sum is ``sign * symbol_apply(f)``."""
+        return [
+            (sign, a, f.derive(i + 1))
+            for i, a in enumerate(self.symbol_coeffs)
+            if not a.is_zero()
+        ]
 
     def is_zero(self):
         return self.endo.is_zero() and all(a.is_zero() for a in self.symbol_coeffs)
@@ -135,14 +140,13 @@ def symbol(delta):
 def commutator(d1, d2):
     """Commutator of derivations: ([X, Y], X(g) - Y(f)) for (X, f), (Y, g)."""
     n = d1.n
-    sym = []
-    for i in range(n):
-        c = d1.symbol_apply(d2.symbol_coeffs[i]) - d2.symbol_apply(
-            d1.symbol_coeffs[i]
-        )
-        sym.append(c)
-    endo = d1.symbol_apply(d2.endo) - d2.symbol_apply(d1.endo)
-    return Derivation(tuple(sym), endo)
+
+    def component(g, f):
+        # X(g) - Y(f), one sum of products
+        return sum_of_products(n, d1.symbol_terms(g) + d2.symbol_terms(f, -1))
+
+    sym = tuple(map(component, d2.symbol_coeffs, d1.symbol_coeffs))
+    return Derivation(sym, component(d2.endo, d1.endo))
 
 
 def random_derivation(n, rng, max_degree, coeff_bound):

@@ -17,7 +17,7 @@ def _clone(matrix):
 
 
 def _is_constant(v):
-    return v.den.is_one() and v.num.is_constant() and not v.is_zero()
+    return v.is_polynomial() and v.num.is_constant() and not v.is_zero()
 
 
 def _eliminate(rows, ncols=None):

@@ -78,14 +78,19 @@ def _monomials_of_degree(n, degree):
             yield (first,) + rest
 
 
-def monomials_upto(n, max_degree):
-    """All exponent tuples in n variables with total degree <= max_degree,
-    in ascending graded lexicographic order."""
-    return [
+@cache
+def _monomial_table(n, max_degree):
+    return tuple(
         mono
         for degree in range(max_degree + 1)
         for mono in _monomials_of_degree(n, degree)
-    ]
+    )
+
+
+def monomials_upto(n, max_degree):
+    """All exponent tuples in n variables with total degree <= max_degree,
+    in ascending graded lexicographic order.  Returns a new list."""
+    return list(_monomial_table(n, max_degree))
 
 
 class Polynomial:
@@ -580,7 +585,9 @@ class Scalar:
 
     Canonical means: num and den coprime, den monic under graded lex,
     zero represented as 0/1.  Construction normalizes, after which
-    ``==`` is plain structural comparison.
+    ``==`` is plain structural comparison.  A scalar is a polynomial
+    exactly when its den is the shared unit of ``_units(n)``, so the
+    arithmetic tells the polynomial case by one identity test.
     """
 
     __slots__ = ("num", "den")
@@ -630,7 +637,7 @@ class Scalar:
         return self.num == self.den
 
     def is_polynomial(self):
-        return self.den.is_one()
+        return self.den is _units(self.num.nvars)[1]
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -645,8 +652,9 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return Scalar._canonical(self.num + o.num, self.den)
+        d = self.den
+        if d is o.den and d is _units(d.nvars)[1]:
+            return Scalar._canonical(self.num + o.num, d)
         return Scalar(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -658,8 +666,9 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
-            return Scalar._canonical(self.num - o.num, self.den)
+        d = self.den
+        if d is o.den and d is _units(d.nvars)[1]:
+            return Scalar._canonical(self.num - o.num, d)
         return self + (-o)
 
     def __rsub__(self, other):
@@ -672,9 +681,10 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.den.is_one() and o.den.is_one():
+        d = self.den
+        if d is o.den and d is _units(d.nvars)[1]:
             # a product of polynomials over the denominator one is canonical
-            return Scalar._canonical(self.num * o.num, self.den)
+            return Scalar._canonical(self.num * o.num, d)
         return Scalar(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -706,7 +716,7 @@ class Scalar:
         nvars = self.num.nvars
         if not 1 <= index <= nvars:
             raise IndexOutOfRange(f"variable index {index} outside 1..{nvars}")
-        if self.den.is_one():
+        if self.den is _units(nvars)[1]:
             return Scalar._canonical(self.num.derivative(index), self.den)
         # quotient rule
         n, d = self.num, self.den
@@ -737,15 +747,10 @@ class Scalar:
         return f"Scalar({self})"
 
 
-_UNITS = {}
-
-
+@cache
 def _units(n):
     """The shared zero and one polynomials in n variables."""
-    units = _UNITS.get(n)
-    if units is None:
-        units = _UNITS[n] = (Polynomial.zero(n), Polynomial.one(n))
-    return units
+    return Polynomial.zero(n), Polynomial.one(n)
 
 
 def _normalize(num, den):
@@ -754,20 +759,109 @@ def _normalize(num, den):
     n = num.nvars
     if num.is_zero():
         return _units(n)
+    if not den.is_constant():
+        g = poly_gcd(num, den)
+        if not g.is_one():
+            num = divexact(num, g)
+            den = divexact(den, g)
     if den.is_constant():
-        if den.is_one():
-            return num, den
-        return num.scale(Fraction(den.den, den.terms[0])), _units(n)[1]
-    g = poly_gcd(num, den)
-    if not g.is_one():
-        num = divexact(num, g)
-        den = divexact(den, g)
+        # every denominator equal to 1 becomes the shared unit
+        if not den.is_one():
+            num = num.scale(Fraction(den.den, den.terms[0]))
+        return num, _units(n)[1]
     lc = den.terms[max(den.terms)]
     if lc != den.den:
         c = Fraction(den.den, lc)
         num = num.scale(c)
         den = den.scale(c)
     return num, den
+
+
+def sum_of_products(n, terms):
+    """The scalar sum of ``sign * a * b`` over ``(sign, a, b)`` triples of
+    scalars in n variables, sign +1 or -1; ``b`` None stands for 1.
+
+    The form operations gather each output coefficient's products here.
+    When every scalar is a polynomial, the products are added into one
+    dict of packed monomials over a common integer denominator, so one
+    Polynomial and one Scalar are built per sum, not one per product and
+    per partial sum: the sum-of-products accumulation of Monagan and
+    Pearce (ISSAC 2009).  Any other input takes the Scalar arithmetic.
+    """
+    if len(terms) == 1 and terms[0][2] is None:
+        sign, a, _ = terms[0]
+        return a if sign > 0 else -a
+    unit = _units(n)[1]
+    for _, a, b in terms:
+        if a.den is not unit or (b is not None and b.den is not unit):
+            break
+    else:
+        return Scalar._canonical(_polynomial_sum_of_products(n, terms), unit)
+    total = None
+    for sign, a, b in terms:
+        term = a if b is None else a * b
+        if sign < 0:
+            term = -term
+        total = term if total is None else total + term
+    return Scalar.zero(n) if total is None else total
+
+
+def _polynomial_sum_of_products(n, terms):
+    # The numerator of sum_of_products when every den is the shared unit.
+    # ``den`` is the lcm of the denominators seen so far; a product over a
+    # denominator that does not divide it rescales the sum in place.
+    shift = n * _BITS
+    den = 1
+    acc = {}
+    get = acc.get
+    for sign, a, b in terms:
+        p = a.num
+        ta = p.terms
+        if not ta:
+            continue
+        if b is None:
+            tb = None
+            d = p.den
+        else:
+            q = b.num
+            tb = q.terms
+            if not tb:
+                continue
+            degree = (max(ta) + max(tb)) >> shift
+            if degree > MAX_DEGREE:
+                raise DegreeOverflow(
+                    f"product of total degree {degree} is above the limit {MAX_DEGREE}"
+                )
+            d = p.den * q.den
+        if d == den:
+            scale = sign
+        else:
+            if den % d:
+                r = d // gcd(den, d)
+                for m in acc:
+                    acc[m] *= r
+                den *= r
+            scale = sign * (den // d)
+        if tb is None:
+            for m, c in ta.items():
+                v = get(m, 0) + c * scale
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+            continue
+        for m1, c1 in ta.items():
+            c1 *= scale
+            for m2, c2 in tb.items():
+                m = m1 + m2
+                v = get(m, 0) + c1 * c2
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+    if not acc:
+        return _units(n)[0]
+    return Polynomial._reduced(n, acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +877,7 @@ def derive(a, index):
 def random_polynomial(n, rng, max_degree, coeff_bound):
     """Random polynomial scalar drawn from an externally seeded RNG."""
     terms = {}
-    for mono in monomials_upto(n, max_degree):
+    for mono in _monomial_table(n, max_degree):
         c = rng.randint(-coeff_bound, coeff_bound)
         if c:
             terms[mono] = c

@@ -177,19 +177,16 @@ def atiyah_calculus(ctx):
         return degree, w, D, E, random_polynomial(n, rng, *bounds)
 
     def checks(degree, w, D, E, s):
+        dw, lie_w = differential(w), lie_derivative(D, w)
         out = {
-            "d-squared": differential(differential(w)),
-            "cartan": lie_derivative(D, w)
-            - contract(D, differential(w))
-            - differential(contract(D, w)),
-            "unit-homotopy": differential(contract(unit, w))
-            + contract(unit, differential(w))
-            - w,
+            "d-squared": differential(dw),
+            "cartan": lie_w - contract(D, dw) - differential(contract(D, w)),
+            "unit-homotopy": differential(contract(unit, w)) + contract(unit, dw) - w,
         }
         if degree >= 1:
             out["lie-contract"] = (
                 lie_derivative(D, contract(E, w))
-                - contract(E, lie_derivative(D, w))
+                - contract(E, lie_w)
                 - contract(commutator(D, E), w)
             )
         out["jet-injectivity"] = contract(unit, differential(s)).scalar() - s

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from omnilie.cli import MAX_FORMS, MAX_FORM_TERMS, MAX_N, MAX_SAMPLES, load_scenario, main
+from omnilie.cli import MAX_FORM_TERMS, MAX_N, MAX_SAMPLES, load_scenario, main
 from omnilie import serialize, suites
 from omnilie.atiyah import AtiyahForm
 from omnilie.scalar import MAX_DEGREE
@@ -121,6 +121,23 @@ def test_verify_rejects_bad_forms(tmp_path, capsys):
     rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
     assert rc == 2
     assert "forms.omega" in capsys.readouterr().err
+
+
+def test_verify_rejects_unknown_form_names(tmp_path, capsys):
+    # a misspelled twist used to run the default one and pass
+    omega = AtiyahForm.basis(2, (0, 1, 2)).scale(2)
+    scenario = write_scenario(
+        tmp_path,
+        suites=["exact-curvature"],
+        samples=1,
+        seed=1,
+        forms={"omgea": serialize.form_to_obj(omega)},
+    )
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input error: forms.omgea: unknown form (known: B, omega, theta)" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_accepts_explicit_twist(tmp_path):
@@ -326,10 +343,7 @@ def _size_overrides(past):
     return [
         ({"n": MAX_N + past}, "n: must be an integer in 1.."),
         ({"samples": MAX_SAMPLES + past}, "samples: must be an integer in 1.."),
-        (
-            {"forms": {f"F{k}": {"degree": 0} for k in range(MAX_FORMS + past)}},
-            f"forms: {MAX_FORMS + 1} forms, above the limit",
-        ),
+        ({"max_degree": MAX_DEGREE + past}, "max_degree: must be an integer in 0.."),
         (
             {"forms": {"B": _form_with_scalar({"numerator": terms})}},
             f"forms.B: {MAX_FORM_TERMS + 1} coefficients and terms, above the limit",

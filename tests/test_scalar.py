@@ -8,10 +8,12 @@ from omnilie.scalar import (
     MAX_DEGREE,
     Polynomial,
     Scalar,
+    _units,
     derive,
     divexact,
     monomials_upto,
     random_scalar,
+    sum_of_products,
 )
 
 
@@ -116,6 +118,13 @@ def test_serialization_order_fixed():
     assert monos[0] == (0, 0)
     assert len(monos) == 6
     assert monos == sorted(monos, key=lambda m: (sum(m), m))
+
+
+def test_monomials_upto_returns_a_new_list():
+    monos = monomials_upto(2, 2)
+    monos.append((9, 9))
+    monos[0] = (5, 5)
+    assert monomials_upto(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
 
 
 def test_rational_arithmetic_with_python_numbers():
@@ -242,4 +251,116 @@ def test_counted_operations_match_the_recorded_counts(count_operations):
     counts = count_operations()
     cases = SUITES["jacobi"].runner(ctx)
     assert len(cases) == 5 and all(ok for _, ok, _ in cases)
-    assert counts == {"poly_mul": 1515, "coeff_products": 15837, "gcd": 0}
+    assert counts == {"poly_mul": 1465, "coeff_products": 15837, "gcd": 0}
+
+
+x1 = Scalar.variable(2, 1)
+
+
+def _left_to_right(n, terms):
+    total = Scalar.zero(n)
+    for sign, a, b in terms:
+        term = a if b is None else a * b
+        total = total + term if sign > 0 else total - term
+    return total
+
+
+@st.composite
+def product_terms(draw, quotients=False):
+    """(sign, a, b) triples over rational polynomials, optionally with true
+    quotients among them; some draws repeat terms with the other sign, so
+    the sum cancels in part or in full."""
+    factor = scalars(max_degree=2)
+    if quotients:
+        shift = st.integers(min_value=1, max_value=3)
+        quotient = st.builds(lambda p, k: p / (x1 + k), scalars(max_degree=1), shift)
+        factor = st.one_of(factor, quotient)
+    triple = st.tuples(
+        st.sampled_from([1, -1]), factor, st.one_of(st.none(), factor)
+    )
+    terms = draw(st.lists(triple, max_size=6))
+    cancelled = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
+    terms += [(-sign, a, b) for sign, a, b in cancelled]
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_terms())
+def test_sum_of_products_matches_scalar_arithmetic(terms):
+    total = sum_of_products(2, terms)
+    assert total == _left_to_right(2, terms)
+    assert total.den is _units(2)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_terms(quotients=True))
+def test_sum_of_products_matches_scalar_arithmetic_on_quotients(terms):
+    assert sum_of_products(2, terms) == _left_to_right(2, terms)
+
+
+def test_sum_of_products_edge_cases():
+    x, y = variables(2)
+    half = Scalar.from_fraction(2, Fraction(1, 2))
+    q = x / (y + 1)
+    assert sum_of_products(2, []) == Scalar.zero(2)
+    # a single unscaled term is returned as it is
+    assert sum_of_products(2, [(1, q, None)]) is q
+    assert sum_of_products(2, [(-1, q, None)]) == -q
+    # unequal denominators, and products that cancel to zero
+    terms = [(1, half * x, x / 3), (-1, x / 6, x), (1, y / 4, None), (-1, y, half / 2)]
+    assert sum_of_products(2, terms) == Scalar.zero(2)
+    assert sum_of_products(2, terms[:3]) == y / 4
+    # a true quotient takes the Scalar arithmetic
+    assert sum_of_products(2, [(1, q, y + 1), (-1, x, None)]) == Scalar.zero(2)
+    assert sum_of_products(2, [(1, q, x), (1, y, None)]) == q * x + y
+
+
+def test_sum_of_products_checks_the_degree_limit():
+    high = Scalar(Polynomial(2, {(MAX_DEGREE, 0): 1}))
+    x, y = variables(2)
+    assert sum_of_products(2, [(1, high, y.derive(2))]) == high
+    with pytest.raises(DegreeOverflow):
+        sum_of_products(2, [(1, x, x), (1, high, x)])
+    with pytest.raises(DegreeOverflow):
+        # the products cancel, but each is past the limit
+        sum_of_products(2, [(1, high, y), (-1, high, y)])
+
+
+def test_polynomial_scalars_share_one_unit_denominator():
+    from omnilie import serialize
+
+    unit = _units(2)[1]
+    x, y = variables(2)
+    num = Polynomial(2, {(1, 0): Fraction(2, 3), (0, 0): 1})
+    built = [
+        Scalar(num),
+        Scalar(num, Polynomial.constant(2, 3)),
+        Scalar(num, Polynomial.one(2)),
+        (x * x - y * y) / (x + y),
+        (x * y) / (2 * x),
+        serialize.scalar_from_obj(2, serialize.scalar_to_obj(x * y + 1)),
+        Scalar.from_fraction(2, Fraction(-5, 7)),
+        Scalar.zero(2),
+        Scalar.one(2),
+        Scalar.variable(2, 2),
+        (x / (y + 1)) * (y + 1),
+        (x / (y + 1)).derive(1) * (y + 1),
+    ]
+    for s in built:
+        assert s.den is unit, s
+        assert s.is_polynomial()
+    assert not (x / (y + 1)).is_polynomial()
+
+
+def test_polynomial_arithmetic_makes_no_structural_unit_test(monkeypatch):
+    x, y = variables(2)
+    a, b = x * y + 1, x - Fraction(1, 3)
+
+    def forbidden(self):
+        raise AssertionError("Polynomial.is_one called")
+
+    monkeypatch.setattr(Polynomial, "is_one", forbidden)
+    assert (a + b) - b == a
+    assert (a * b).derive(2) == x * b
+    assert a.is_polynomial() and (a - a).is_polynomial()
+    assert sum_of_products(2, [(1, a, b), (-1, b, a)]) == Scalar.zero(2)
