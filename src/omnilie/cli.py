@@ -71,7 +71,8 @@ def load_scenario(path):
             raw = json.load(handle)
     except OSError as exc:
         raise ScenarioError(f"scenario: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad syntax or encoding, an integer past the digit limit, deep nesting
         raise ScenarioError(f"scenario: invalid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "scenario: top level must be an object")
 
@@ -84,7 +85,7 @@ def load_scenario(path):
         isinstance(suites, list) and suites, "suites: must be a non-empty list"
     )
     for name in suites:
-        _require(name in SUITES, f"suites: unknown suite {name!r}")
+        _require(isinstance(name, str) and name in SUITES, f"suites: unknown suite {name!r}")
         spec = SUITES[name]
         _require(
             n >= spec.min_n,
@@ -128,7 +129,7 @@ def load_scenario(path):
         )
         try:
             form = serialize.form_from_obj(n, obj)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ScenarioError(f"forms.{name}: {exc}") from exc
         terms = len(form.coeffs) + sum(
             len(v.num.terms) + len(v.den.terms) for v in form.coeffs.values()
@@ -365,7 +366,7 @@ def cmd_primitive(args):
             raw = json.load(handle)
         n = int(raw["n"])
         form = serialize.form_from_obj(n, raw)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"input error: form: {exc}", file=sys.stderr)
         return 2
     if form.degree < 1:

@@ -26,7 +26,7 @@ from .atiyah import (
 from .dcourant import DSection
 from .observables import Subbundle, is_involutive
 from .sampling import CheckResult, sample
-from .scalar import Scalar, monomials_upto, Polynomial, random_polynomial
+from .scalar import Scalar, monomials_upto, Polynomial, random_polynomial, sum_of_products
 from . import linalg
 
 
@@ -88,19 +88,8 @@ class JacobiBiderivation:
         return cls(n, matrix)
 
     def pair(self, alpha, beta):
-        """Value on two 1-forms."""
-        n = self.n
-        total = Scalar.zero(n)
-        for a in range(n + 1):
-            ca = alpha.coefficient((a,))
-            if ca.is_zero():
-                continue
-            for b in range(n + 1):
-                cb = beta.coefficient((b,))
-                if cb.is_zero() or self.matrix[a][b].is_zero():
-                    continue
-                total = total + self.matrix[a][b] * ca * cb
-        return total
+        """Value on two 1-forms: sum of J[a][b] * alpha_a * beta_b."""
+        return contract(sharp(self, alpha), beta).scalar()
 
     def __eq__(self, other):
         if not isinstance(other, JacobiBiderivation):
@@ -115,27 +104,28 @@ class JacobiBiderivation:
 
 
 def jacobi_bracket(J, s, t):
-    """Bracket of two sections through their jet prolongations."""
-    return J.pair(differential(s), differential(t))
+    """Bracket of two sections: the section derivation of s applied to t.
+
+    The differential of t is (d_1 t, ..., d_n t, t), so pairing it
+    against sharp(J, ds) is exactly applying that derivation to t.
+    """
+    return section_derivation(J, s).apply(t)
 
 
 def sharp(J, alpha):
-    """The derivation pairing a 1-form against jet prolongations."""
+    """The derivation pairing a 1-form against jet prolongations.
+
+    Its coefficient along direction b is the column sum of alpha_a * J[a][b].
+    """
     n = J.n
-    sym = []
-    for b in range(n):
-        total = Scalar.zero(n)
-        for a in range(n + 1):
-            ca = alpha.coefficient((a,))
-            if not ca.is_zero() and not J.matrix[a][b].is_zero():
-                total = total + ca * J.matrix[a][b]
-        sym.append(total)
-    endo = Scalar.zero(n)
-    for a in range(n + 1):
-        ca = alpha.coefficient((a,))
-        if not ca.is_zero() and not J.matrix[a][n].is_zero():
-            endo = endo + ca * J.matrix[a][n]
-    return Derivation(tuple(sym), endo)
+    rows = [
+        (alpha.coeffs[(a,)], J.matrix[a]) for a in range(n + 1) if (a,) in alpha.coeffs
+    ]
+    column = [
+        sum_of_products(n, [(1, ca, row[b]) for ca, row in rows if not row[b].is_zero()])
+        for b in range(n + 1)
+    ]
+    return Derivation(column[:n], column[n])
 
 
 def section_derivation(J, s):
@@ -158,11 +148,17 @@ def monomial_scalars(n, max_degree):
     return [Scalar(Polynomial(n, {mono: 1})) for mono in monomials_upto(n, max_degree)]
 
 
-def _jacobiator(J, s1, s2, s3):
-    total = jacobi_bracket(J, s1, jacobi_bracket(J, s2, s3))
-    total = total + jacobi_bracket(J, s2, jacobi_bracket(J, s3, s1))
-    total = total + jacobi_bracket(J, s3, jacobi_bracket(J, s1, s2))
-    return total
+def _jacobiator(*pairs):
+    """{s1, {s2, s3}} + {s2, {s3, s1}} + {s3, {s1, s2}} from three pairs
+    (si, Xi), where Xi is the section derivation of si: {si, t} = Xi(t)."""
+    (s1, X1), (s2, X2), (s3, X3) = pairs
+    terms = X1.apply_terms(X2(s3)) + X2.apply_terms(X3(s1)) + X3.apply_terms(X1(s2))
+    return sum_of_products(X1.n, terms)
+
+
+def _with_derivations(J, sections):
+    """(section, its section derivation) pairs."""
+    return [(s, section_derivation(J, s)) for s in sections]
 
 
 def is_jacobi(J, samples=10, seed=0):
@@ -175,15 +171,15 @@ def is_jacobi(J, samples=10, seed=0):
     shared answer; a seeded random sample is also reported.
     """
     n = J.n
-    family = monomial_scalars(n, 2)
+    family = _with_derivations(J, monomial_scalars(n, 2))
     bracket_ok = True
     witness = None
-    for s1, s2, s3 in itertools.product(family, repeat=3):
-        residual = _jacobiator(J, s1, s2, s3)
+    for triple in itertools.product(family, repeat=3):
+        residual = _jacobiator(*triple)
         if not residual.is_zero():
             bracket_ok = False
             witness = {
-                "triple": [str(s1), str(s2), str(s3)],
+                "triple": [str(s) for s, _ in triple],
                 "jacobiator": str(residual),
             }
             break
@@ -191,10 +187,8 @@ def is_jacobi(J, samples=10, seed=0):
     rng = random.Random(seed)
     random_ok = True
     for _ in range(samples):
-        s1 = random_polynomial(n, rng, 2, 2)
-        s2 = random_polynomial(n, rng, 2, 2)
-        s3 = random_polynomial(n, rng, 2, 2)
-        if not _jacobiator(J, s1, s2, s3).is_zero():
+        sections = [random_polynomial(n, rng, 2, 2) for _ in range(3)]
+        if not _jacobiator(*_with_derivations(J, sections)).is_zero():
             random_ok = False
             break
     ok = bracket_ok and graph_result.ok
@@ -210,30 +204,32 @@ def is_jacobi(J, samples=10, seed=0):
     return CheckResult(ok, "jacobi", detail)
 
 
-def twisted_jacobi_residual(J, omega, s1, s2, s3):
-    """Cyclic double bracket minus the twist evaluated on the section derivations."""
+def _check_closed(omega):
     if not differential(omega).is_zero():
         raise NotClosed("the twist must be closed")
-    lhs = _jacobiator(J, s1, s2, s3)
-    rhs = evaluate(
-        omega,
-        section_derivation(J, s1),
-        section_derivation(J, s2),
-        section_derivation(J, s3),
-    )
-    return lhs - rhs
+
+
+def _twisted_residual(omega, *pairs):
+    return _jacobiator(*pairs) - evaluate(omega, *(X for _, X in pairs))
+
+
+def twisted_jacobi_residual(J, omega, s1, s2, s3):
+    """Cyclic double bracket minus the twist evaluated on the section derivations."""
+    _check_closed(omega)
+    return _twisted_residual(omega, *_with_derivations(J, (s1, s2, s3)))
 
 
 def is_twisted_jacobi(J, omega):
     """Exact decision of the twisted condition on the monomial spanning family."""
-    family = monomial_scalars(J.n, 2)
-    for s1, s2, s3 in itertools.product(family, repeat=3):
-        residual = twisted_jacobi_residual(J, omega, s1, s2, s3)
+    _check_closed(omega)
+    family = _with_derivations(J, monomial_scalars(J.n, 2))
+    for triple in itertools.product(family, repeat=3):
+        residual = _twisted_residual(omega, *triple)
         if not residual.is_zero():
             return CheckResult(
                 False,
                 "twisted-jacobi",
-                {"triple": [str(s1), str(s2), str(s3)], "residual": str(residual)},
+                {"triple": [str(s) for s, _ in triple], "residual": str(residual)},
             )
     return CheckResult(True, "twisted-jacobi")
 

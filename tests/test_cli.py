@@ -1,10 +1,15 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omnilie.cli import MAX_FORM_TERMS, MAX_N, MAX_SAMPLES, load_scenario, main
 from omnilie import serialize, suites
@@ -364,3 +369,128 @@ def test_scenarios_at_the_size_caps_load(tmp_path, overrides, needle):
     # loading only: running suites at the caps would take hours
     _, ctx, _ = load_scenario(write_scenario(tmp_path, **overrides))
     assert (ctx.n, ctx.samples) == (overrides.get("n", 2), overrides.get("samples", 3))
+
+
+
+# The exit contract: 0 pass, 1 an identity failed, 2 malformed input; 3 is
+# a fault of the program.  The fuzz test below mutates a small valid
+# scenario: cheap suites at n = 1, one sample, and two named 2-forms.
+_FUZZ_BASE = {
+    "n": 1,
+    "suites": ["exact-curvature", "cohomologous-iso", "jacobi"],
+    "samples": 1,
+    "seed": 7,
+    "max_degree": 1,
+    "coeff_bound": 2,
+    "forms": {
+        "theta": {
+            "degree": 2,
+            "coeffs": [{"indices": [1, "inf"], "value": {"numerator": [_term([1])]}}],
+        },
+        "B": {
+            "degree": 2,
+            "coeffs": [{"indices": [1, "inf"], "value": {"numerator": [_term([0], den="2")]}}],
+        },
+    },
+}
+
+# Stands for an integer of 5000 digits, which json.dumps cannot write.
+_HUGE = "__huge_integer__"
+
+# Valid values stay cheap: the small integers are at most 3, and 9, 512
+# and 1001 are past the caps of n, max_degree and samples.
+_NAMES = st.sampled_from(
+    ["jacobi", "exact-curvature", "cohomologous-iso", "Jacobi", "jacobi ", "", "all",
+     "B", "omega", "theta", "inf", "drop-l3", "0"]
+)
+_LEAVES = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.sampled_from([-1, 0, 1, 2, 3, 9, 512, 1001, -(10**30), 10**30, _HUGE]),
+    _NAMES,
+    st.text(max_size=4),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1.5, 2.0, 1e300]),
+)
+_VALUES = st.one_of(
+    _LEAVES,
+    st.lists(_LEAVES, max_size=2),
+    st.dictionaries(st.one_of(_NAMES, st.text(max_size=3)), _LEAVES, max_size=2),
+)
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """The base scenario after one or two mutations: drop a key or item,
+    replace a value (other types, out-of-range or huge integers, garbled
+    names), or add an unknown key or item."""
+    doc = copy.deepcopy(_FUZZ_BASE)
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        action = draw(st.sampled_from(["drop", "replace", "add"]))
+        if not path:
+            doc = draw(_VALUES) if action == "replace" else doc
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        target = parent[path[-1]]
+        if action == "drop":
+            del parent[path[-1]]
+        elif action == "replace":
+            parent[path[-1]] = draw(_VALUES)
+        elif isinstance(target, dict):
+            target[draw(st.text(min_size=1, max_size=3))] = draw(_VALUES)
+        elif isinstance(target, list):
+            target.append(draw(_VALUES))
+    return doc
+
+
+def _assert_exit_contract(doc):
+    text = json.dumps(doc).replace(json.dumps(_HUGE), "9" * 5000)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.json"
+        scenario.write_text(text, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["verify", "--scenario", str(scenario), "--report", str(Path(tmp) / "r.json")])
+    shown = out.getvalue() + err.getvalue()
+    assert rc in (0, 1, 2), (rc, text, shown)
+    assert "Traceback" not in shown and "internal error" not in shown, (text, shown)
+
+
+def test_the_fuzzed_base_scenario_passes(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_FUZZ_BASE), encoding="utf-8")
+    assert main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")]) == 0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutated_scenarios())
+def test_mutated_scenarios_keep_the_exit_contract(doc):
+    _assert_exit_contract(doc)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"{\"n\": \xff}", b"{\"seed\": " + b"9" * 5000 + b"}", b"[" * 100000],
+    ids=["not UTF-8", "integer past the digit limit", "nested too deeply"],
+)
+def test_verify_rejects_unreadable_scenario_json(tmp_path, capsys, raw):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(raw)
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("input error: scenario: invalid JSON: ")

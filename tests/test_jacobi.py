@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omnilie.errors import NonInvertible, NotClosed
 from omnilie import linalg
@@ -19,6 +20,7 @@ from omnilie.jacobi import (
     gauge_jacobi,
     graph,
     is_jacobi,
+    _jacobiator,
     is_twisted_jacobi,
     jacobi_bracket,
     jet_algebroid_residuals,
@@ -28,7 +30,7 @@ from omnilie.jacobi import (
     twisted_jacobi_residual,
     twisted_jet_bracket,
 )
-from omnilie.scalar import Scalar, random_polynomial
+from omnilie.scalar import Polynomial, Scalar, monomials_upto, random_polynomial
 
 CONTACT1 = JacobiBiderivation.from_closed_form(AtiyahForm.basis(1, (0, 1)))
 
@@ -133,6 +135,12 @@ def test_twisted_residual_examples():
         twisted_jacobi_residual(
             JacobiBiderivation.zero(3), bad, Scalar.one(3), Scalar.one(3), Scalar.one(3)
         )
+
+
+def test_is_twisted_jacobi_rejects_an_open_twist():
+    bad = AtiyahForm(3, 3, {(0, 1, 3): Scalar.variable(3, 3)})
+    with pytest.raises(NotClosed):
+        is_twisted_jacobi(JacobiBiderivation.zero(3), bad)
 
 
 def test_gauged_bracket_is_twisted():
@@ -300,3 +308,94 @@ def test_determinant_matches_the_recorded_counts(count_operations):
     counts = count_operations()
     assert not any(linalg.determinant(m).is_zero() for m in matrices)
     assert counts == {"poly_mul": 8224, "coeff_products": 705158, "gcd": 2256}
+
+
+# An oracle for the bracket that shares no code with jacobi.py: the double
+# sum sum_{a,b} J[a][b] * alpha_a * beta_b written with Scalar * and +.
+# J is drawn with polynomial entries and with true quotients, so both the
+# polynomial lane of sum_of_products and its Scalar fallback are covered.
+
+N = 2
+
+
+@st.composite
+def polynomials(draw, max_degree):
+    coefficient = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    monos = monomials_upto(N, max_degree)
+    return Scalar(Polynomial(N, {m: draw(coefficient) for m in monos if draw(st.booleans())}))
+
+
+@st.composite
+def biderivations(draw):
+    quotient = st.builds(
+        lambda p, k: p / (Scalar.variable(N, 1) + k), polynomials(1), st.integers(1, 3)
+    )
+    entry = st.one_of(polynomials(1), quotient)
+    return JacobiBiderivation.from_entries(
+        N, {(a, b): draw(entry) for a in range(N + 1) for b in range(a + 1, N + 1)}
+    )
+
+
+def jet(s):
+    """(d_1 s, ..., d_n s, s), the coefficients of differential(s)."""
+    return [s.derive(i + 1) for i in range(N)] + [s]
+
+
+def one_form_coefficients(alpha):
+    return [alpha.coefficient((a,)) for a in range(N + 1)]
+
+
+def double_sum(J, alpha, beta):
+    total = Scalar.zero(N)
+    for a in range(N + 1):
+        for b in range(N + 1):
+            total = total + J.matrix[a][b] * alpha[a] * beta[b]
+    return total
+
+
+def bracket_oracle(J, s, t):
+    return double_sum(J, jet(s), jet(t))
+
+
+def sharp_oracle(J, alpha):
+    column = []
+    for b in range(N + 1):
+        total = Scalar.zero(N)
+        for a in range(N + 1):
+            total = total + alpha[a] * J.matrix[a][b]
+        column.append(total)
+    return Derivation(column[:N], column[N])
+
+
+one_forms = st.builds(
+    lambda coeffs: AtiyahForm(N, 1, {(a,): c for a, c in enumerate(coeffs)}),
+    st.lists(polynomials(1), min_size=N + 1, max_size=N + 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(biderivations(), polynomials(2), polynomials(2), one_forms, one_forms)
+def test_bracket_pair_and_sharp_match_the_double_sum(J, s, t, alpha, beta):
+    assert jacobi_bracket(J, s, t) == bracket_oracle(J, s, t)
+    assert J.pair(alpha, beta) == double_sum(
+        J, one_form_coefficients(alpha), one_form_coefficients(beta)
+    )
+    assert sharp(J, alpha) == sharp_oracle(J, one_form_coefficients(alpha))
+    assert section_derivation(J, s) == sharp_oracle(J, jet(s))
+
+
+@settings(max_examples=25, deadline=None)
+@given(biderivations(), st.lists(polynomials(1), min_size=3, max_size=3), one_forms)
+def test_jacobiator_matches_the_nested_brackets(J, sections, alpha):
+    s1, s2, s3 = sections
+    nested = (
+        bracket_oracle(J, s1, bracket_oracle(J, s2, s3))
+        + bracket_oracle(J, s2, bracket_oracle(J, s3, s1))
+        + bracket_oracle(J, s3, bracket_oracle(J, s1, s2))
+    )
+    pairs = [(s, sharp_oracle(J, jet(s))) for s in sections]
+    assert _jacobiator(*pairs) == nested
+    # a closed twist, evaluated on the section derivations
+    omega = differential(AtiyahForm(N, 2, {(0, 1): s1, (1, 2): alpha.coefficient((0,))}))
+    twist = evaluate(omega, *(X for _, X in pairs))
+    assert twisted_jacobi_residual(J, omega, s1, s2, s3) == nested - twist

@@ -251,7 +251,7 @@ def test_counted_operations_match_the_recorded_counts(count_operations):
     counts = count_operations()
     cases = SUITES["jacobi"].runner(ctx)
     assert len(cases) == 5 and all(ok for _, ok, _ in cases)
-    assert counts == {"poly_mul": 1465, "coeff_products": 15837, "gcd": 0}
+    assert counts == {"poly_mul": 159, "coeff_products": 9434, "gcd": 0}
 
 
 x1 = Scalar.variable(2, 1)
