@@ -178,22 +178,97 @@ def load_scenario(path):
     return suites, ctx, raw
 
 
-def run_suites(suite_names, ctx):
-    """Execute the suites, returning report entries in scenario order."""
+def _suite_entries(name, ctx):
+    """Run one suite and return its report entries."""
     entries = []
-    for name in suite_names:
-        cases = SUITES[name].runner(ctx)
-        for index, (label, ok, witness) in enumerate(cases):
-            entry = {
-                "suite": name,
-                "case_index": index,
-                "n": ctx.n,
-                "residual_is_zero": bool(ok),
-            }
-            if not ok:
-                entry["witness"] = {"label": label, **(witness or {})}
-            entries.append(entry)
+    for index, (label, ok, witness) in enumerate(SUITES[name].runner(ctx)):
+        entry = {
+            "suite": name,
+            "case_index": index,
+            "n": ctx.n,
+            "residual_is_zero": bool(ok),
+        }
+        if not ok:
+            entry["witness"] = {"label": label, **(witness or {})}
+        entries.append(entry)
     return entries
+
+
+def run_suites(suite_names, ctx):
+    """Execute the suites, returning report entries in scenario order.
+
+    With several suites and several CPUs, one forked worker per CPU takes
+    the next suite in scenario order from a pipe and leaves its entries,
+    or the exception it raised, in a pickle per suite.  The parent reaps
+    every worker, then merges the suites in scenario order and raises the
+    first suite's exception, so the report, the exit code and the error
+    line do not depend on the worker count.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(suite_names))
+    if workers == 1:
+        return [entry for name in suite_names for entry in _suite_entries(name, ctx)]
+    import pickle
+    import tempfile
+
+    parent = os.getpid()
+    with tempfile.TemporaryDirectory(prefix="omnilie-verify-") as outdir:
+        tasks, feed = os.pipe()
+        pids = []
+        try:
+            for _ in range(workers):
+                pid = os.fork()
+                if pid == 0:
+                    os.close(feed)
+                    _worker(tasks, suite_names, ctx, outdir, parent)
+                pids.append(pid)
+            os.close(tasks)
+            tasks = None
+            for index in range(len(suite_names)):
+                # one write per index, so no read takes part of one
+                os.write(feed, index.to_bytes(4, "little"))
+        finally:
+            for fd in (tasks, feed):
+                if fd is not None:
+                    os.close(fd)
+            for pid in pids:
+                os.waitpid(pid, 0)
+        entries = []
+        for index, name in enumerate(suite_names):
+            try:
+                with open(os.path.join(outdir, str(index)), "rb") as handle:
+                    ok, value = pickle.load(handle)
+            except FileNotFoundError:
+                raise RuntimeError(f"suite {name}: its worker process left no result") from None
+            if not ok:
+                raise value
+            entries += value
+    return entries
+
+
+def _worker(tasks, suite_names, ctx, outdir, parent):
+    """Body of a forked worker; it never returns.  A worker whose parent
+    has gone takes no further suite."""
+    import pickle
+
+    code = 1
+    try:
+        while os.getppid() == parent:
+            record = os.read(tasks, 4)
+            if not record:
+                break
+            index = int.from_bytes(record, "little")
+            try:
+                result = (True, _suite_entries(suite_names[index], ctx))
+            except Exception as exc:
+                result = (False, exc)
+            path = os.path.join(outdir, str(index))
+            with open(path + ".tmp", "wb") as handle:
+                pickle.dump(result, handle)
+            os.replace(path + ".tmp", path)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def render_report(entries, scenario_raw):
@@ -364,9 +439,10 @@ def cmd_primitive(args):
     try:
         with open(args.form, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-        n = int(raw["n"])
+        n = raw["n"]
+        _require(_is_int(n) and 1 <= n <= MAX_N, f"n: must be an integer in 1..{MAX_N}")
         form = serialize.form_from_obj(n, raw)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         print(f"input error: form: {exc}", file=sys.stderr)
         return 2
     if form.degree < 1:

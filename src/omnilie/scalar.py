@@ -652,10 +652,29 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.den
-        if d is o.den and d is _units(d.nvars)[1]:
-            return Scalar._canonical(self.num + o.num, d)
-        return Scalar(self.num * o.den + o.num * self.den, self.den * o.den)
+        d1, d2 = self.den, o.den
+        unit = _units(d1.nvars)[1]
+        if d1 is d2 and d1 is unit:
+            return Scalar._canonical(self.num + o.num, d1)
+        # Henrici's sum: with g = gcd(d1, d2), the sum is
+        # (n1 d2/g + n2 d1/g) / (d1/g d2), and the only common factor its
+        # numerator and denominator can share divides g.
+        if d1 is unit or d2 is unit:
+            g = unit
+        else:
+            g = poly_gcd(d1, d2)
+        if g.is_one():
+            # coprime and a product of monic denominators: canonical
+            return Scalar._canonical(self.num * d2 + o.num * d1, d1 * d2)
+        d1 = divexact(d1, g)
+        num = self.num * divexact(d2, g) + o.num * d1
+        den = d1 * d2
+        if not num.is_zero():
+            h = poly_gcd(num, g)
+            if not h.is_one():
+                num = divexact(num, h)
+                den = divexact(den, h)
+        return Scalar._canonical(*_monic(num, den))
 
     __radd__ = __add__
 
@@ -681,11 +700,22 @@ class Scalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        d = self.den
-        if d is o.den and d is _units(d.nvars)[1]:
+        n1, d1, n2, d2 = self.num, self.den, o.num, o.den
+        unit = _units(d1.nvars)[1]
+        if d1 is d2 and d1 is unit:
             # a product of polynomials over the denominator one is canonical
-            return Scalar._canonical(self.num * o.num, d)
-        return Scalar(self.num * o.num, self.den * o.den)
+            return Scalar._canonical(n1 * n2, d1)
+        # Henrici's product: cancel gcd(n1, d2) and gcd(n2, d1) first, and
+        # the product of what is left is coprime.
+        if d2 is not unit:
+            g = poly_gcd(n1, d2)
+            if not g.is_one():
+                n1, d2 = divexact(n1, g), divexact(d2, g)
+        if d1 is not unit:
+            g = poly_gcd(n2, d1)
+            if not g.is_one():
+                n2, d1 = divexact(n2, g), divexact(d1, g)
+        return Scalar._canonical(*_monic(n1 * n2, d1 * d2))
 
     __rmul__ = __mul__
 
@@ -764,6 +794,15 @@ def _normalize(num, den):
         if not g.is_one():
             num = divexact(num, g)
             den = divexact(den, g)
+    return _monic(num, den)
+
+
+def _monic(num, den):
+    """Canonical form of a coprime num/den: a monic den, or the shared
+    unit when den is constant."""
+    n = num.nvars
+    if num.is_zero():
+        return _units(n)
     if den.is_constant():
         # every denominator equal to 1 becomes the shared unit
         if not den.is_one():

@@ -3,9 +3,12 @@ import copy
 import dataclasses
 import io
 import json
+import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from omnilie.cli import MAX_FORM_TERMS, MAX_N, MAX_SAMPLES, load_scenario, main
 from omnilie import serialize, suites
 from omnilie.atiyah import AtiyahForm
+from omnilie.errors import Degenerate, NotClosed
 from omnilie.scalar import MAX_DEGREE
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -97,6 +101,67 @@ def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch):
     assert rc == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: a fault of the program\n"
     assert not (tmp_path / "r.json").exists()
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_verify_report_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, cpus):
+    # drop-l3 fails linf-oracle, so the report holds witnesses too
+    scenario = write_scenario(
+        tmp_path, suites=["linf-oracle", "lcourant-axioms", "gauge"], samples=2, sabotage="drop-l3"
+    )
+    default, pinned = tmp_path / "default.json", tmp_path / "pinned.json"
+    assert main(["verify", "--scenario", str(scenario), "--report", str(default)]) == 1
+    _cpus(monkeypatch, cpus)
+    assert main(["verify", "--scenario", str(scenario), "--report", str(pinned)]) == 1
+    assert pinned.read_bytes() == default.read_bytes()
+
+
+def test_a_killed_worker_exits_three_and_leaves_no_child(tmp_path, capsys, monkeypatch):
+    test_pid = os.getpid()
+
+    def killed(ctx):
+        if os.getpid() == test_pid:
+            raise AssertionError("the suite ran in the test process")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    spec = suites.SUITES["gauge"]
+    monkeypatch.setitem(suites.SUITES, spec.name, dataclasses.replace(spec, runner=killed))
+    _cpus(monkeypatch, 2)
+    scenario = write_scenario(tmp_path, suites=["atiyah-calculus", "gauge"])
+    report = tmp_path / "r.json"
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(report)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "internal error: RuntimeError: suite gauge: its worker process left no result\n"
+    )
+    assert not report.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_first_failing_suite_in_scenario_order_decides_the_error(
+    tmp_path, capsys, monkeypatch, cpus
+):
+    def slow_first(ctx):
+        time.sleep(0.3)
+        raise NotClosed("the first suite's error")
+
+    def fast_second(ctx):
+        raise Degenerate("the second suite's error")
+
+    for name, runner in (("atiyah-calculus", slow_first), ("gauge", fast_second)):
+        spec = suites.SUITES[name]
+        monkeypatch.setitem(suites.SUITES, name, dataclasses.replace(spec, runner=runner))
+    _cpus(monkeypatch, cpus)
+    scenario = write_scenario(tmp_path, suites=["atiyah-calculus", "gauge"])
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "input error: the first suite's error\n"
 
 
 def test_verify_rejects_bad_scenarios(tmp_path, capsys):
@@ -295,6 +360,16 @@ def test_primitive_rejects_malformed_polynomial(tmp_path, capsys, value, needle)
     assert main(["primitive", "--form", str(path)]) == 2
     err = capsys.readouterr().err
     assert "input error: form:" in err and needle in err
+
+
+@pytest.mark.parametrize("n", [-1, 0, True, "2", 2.5, MAX_N + 1])
+def test_primitive_rejects_a_bad_variable_count(tmp_path, capsys, n):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": n, "degree": 1, "coeffs": []}), encoding="utf-8")
+    assert main(["primitive", "--form", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: form: n: must be an integer in 1..{MAX_N}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("value, needle", MALFORMED_SCALARS)

@@ -307,7 +307,7 @@ def test_determinant_matches_the_recorded_counts(count_operations):
     ]
     counts = count_operations()
     assert not any(linalg.determinant(m).is_zero() for m in matrices)
-    assert counts == {"poly_mul": 8224, "coeff_products": 705158, "gcd": 2256}
+    assert counts == {"poly_mul": 5166, "coeff_products": 66828, "gcd": 1633}
 
 
 # An oracle for the bracket that shares no code with jacobi.py: the double

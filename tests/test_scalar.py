@@ -113,6 +113,31 @@ def test_canonicalization_idempotent(a, b):
     assert again.num == q.num and again.den == q.den
 
 
+def _quotient(num, den):
+    return Scalar(num) if den.is_zero() else Scalar(num, den)
+
+
+@st.composite
+def quotient_pairs(draw):
+    """a = p1 g / (q1 f) and b = p2 / (q2 f g) for drawn p, q and linear
+    f, g: polynomials or true quotients whose denominators share f and
+    where g cancels across a product.  Half the time b becomes b - a, so
+    that a + b cancels a's denominator."""
+    p1, q1, p2, q2 = (draw(scalars()).num for _ in range(4))
+    f, g = (draw(scalars(max_degree=1)).num for _ in range(2))
+    a, b = _quotient(p1 * g, q1 * f), _quotient(p2, q2 * f * g)
+    return (a, b - a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(quotient_pairs())
+def test_henrici_sum_and_product_match_the_plain_formulas(pair):
+    for a, b in (pair, pair[::-1]):
+        n1, d1, n2, d2 = a.num, a.den, b.num, b.den
+        assert a + b == Scalar(n1 * d2 + n2 * d1, d1 * d2)
+        assert a * b == Scalar(n1 * n2, d1 * d2)
+
+
 def test_serialization_order_fixed():
     monos = monomials_upto(2, 2)
     assert monos[0] == (0, 0)
