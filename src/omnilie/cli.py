@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .errors import (
     DegreeOverflow,
@@ -35,13 +36,16 @@ from .jacobi import JacobiBiderivation, jacobi_bracket
 from .linf import kappa
 from .observables import graph_of_form
 from . import linalg, serialize
-from .suites import SUITES, SuiteContext
+from .suites import SUITES, SuiteContext, Unit
 
 
 # Size caps of a scenario, far above the shipped and benchmark scenarios
-# (n <= 3, samples <= 32, small forms).
+# (n <= 3, samples <= 32, coeff_bound <= 3, small forms).  The suites'
+# cost grows with the digits of the drawn coefficients: at 10**6 it is
+# that of coeff_bound 3, while 10**1000 makes linf-oracle 20 times slower.
 MAX_N = 8
 MAX_SAMPLES = 1000
+MAX_COEFF_BOUND = 10**6
 MAX_FORM_TERMS = 4096
 
 # The forms a scenario may name: the twist ``omega`` of the suites whose
@@ -110,8 +114,8 @@ def load_scenario(path):
     )
     coeff_bound = raw.get("coeff_bound", 3)
     _require(
-        _is_int(coeff_bound) and coeff_bound >= 1,
-        "coeff_bound: must be a positive integer",
+        _is_int(coeff_bound) and 1 <= coeff_bound <= MAX_COEFF_BOUND,
+        f"coeff_bound: must be an integer in 1..{MAX_COEFF_BOUND}",
     )
     sabotage = raw.get("sabotage")
     _require(
@@ -153,12 +157,22 @@ def load_scenario(path):
             differential(forms["omega"]).is_zero(),
             "forms.omega: the twist must be closed",
         )
-        if "nondegenerate" in needs:
+        if needs & {"nondegenerate", "constant"}:
             xi = graph_of_form(forms["omega"])
             _require(
                 linalg.rank(xi._form_matrix()) == n + 1,
                 "forms.omega: the twist must be nondegenerate for the graph suites",
             )
+        if "constant" in needs:
+            # The injectivity certificates read monomial coefficients of the
+            # graph's Hamiltonian derivations.  At n = 2 the twist has one
+            # coefficient c, and those derivations are polynomial exactly
+            # when c is a constant.
+            constant = all(
+                c.is_polynomial() and c.num.is_constant() for c in forms["omega"].coeffs.values()
+            )
+            names = ", ".join(name for name in suites if SUITES[name].omega == "constant")
+            _require(constant, f"forms.omega: {names} needs a twist with constant coefficients")
     for name, degree in (("B", 2), ("theta", 2)):
         if name in forms:
             _require(
@@ -178,14 +192,14 @@ def load_scenario(path):
     return suites, ctx, raw
 
 
-def _suite_entries(name, ctx):
-    """Run one suite and return its report entries."""
+def _suite_entries(name, rows, n):
+    """The report entries of one suite's rows, numbered from 0."""
     entries = []
-    for index, (label, ok, witness) in enumerate(SUITES[name].runner(ctx)):
+    for index, (label, ok, witness) in enumerate(rows):
         entry = {
             "suite": name,
             "case_index": index,
-            "n": ctx.n,
+            "n": n,
             "residual_is_zero": bool(ok),
         }
         if not ok:
@@ -194,24 +208,62 @@ def _suite_entries(name, ctx):
     return entries
 
 
+def _raise(exc):
+    raise exc
+
+
 def run_suites(suite_names, ctx):
     """Execute the suites, returning report entries in scenario order.
 
-    With several suites and several CPUs, one forked worker per CPU takes
-    the next suite in scenario order from a pipe and leaves its entries,
-    or the exception it raised, in a pickle per suite.  The parent reaps
-    every worker, then merges the suites in scenario order and raises the
-    first suite's exception, so the report, the exit code and the error
-    line do not depend on the worker count.
+    On one CPU each suite's runner runs in process.  Otherwise the parent
+    builds every suite's units (``suites.table_units``); a table that
+    raises becomes a unit at its place that raises the same.  One forked
+    worker per CPU, and no more than there are units, takes the next unit
+    index in scenario order from a pipe and leaves its results in one
+    pickle.  The parent reaps every worker, then merges the rows in unit
+    order and raises the exception of the first unit that raised, or
+    names the suite of the first unit that no worker finished.  So the
+    report, the exit code and the error line do not depend on the worker
+    count.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(suite_names))
-    if workers == 1:
-        return [entry for name in suite_names for entry in _suite_entries(name, ctx)]
+    if cpus == 1:
+        return [
+            entry
+            for name in suite_names
+            for entry in _suite_entries(name, SUITES[name].runner(ctx), ctx.n)
+        ]
+    units, spans = [], []
+    for name in suite_names:
+        start = len(units)
+        try:
+            units += SUITES[name].units(ctx)
+        except Exception as exc:
+            units.append(Unit(name, "table", 0, 0, partial(_raise, exc)))
+        spans.append((name, start, len(units)))
+    results = _run_pool(units, min(cpus, len(units)))
+    entries = []
+    for name, start, end in spans:
+        rows = []
+        for index in range(start, end):
+            if index not in results:
+                raise RuntimeError(f"suite {name}: its worker process left no result")
+            ok, value = results[index]
+            if not ok:
+                raise value
+            rows += value
+        entries += _suite_entries(name, rows, ctx.n)
+    return entries
+
+
+def _run_pool(units, workers):
+    """Run the units in forked workers; map each finished unit's index to
+    ``(True, rows)`` or ``(False, exception)``."""
     import pickle
     import tempfile
 
     parent = os.getpid()
+    results = {}
     with tempfile.TemporaryDirectory(prefix="omnilie-verify-") as outdir:
         tasks, feed = os.pipe()
         pids = []
@@ -220,52 +272,52 @@ def run_suites(suite_names, ctx):
                 pid = os.fork()
                 if pid == 0:
                     os.close(feed)
-                    _worker(tasks, suite_names, ctx, outdir, parent)
+                    _worker(tasks, units, outdir, parent)
                 pids.append(pid)
             os.close(tasks)
             tasks = None
-            for index in range(len(suite_names)):
-                # one write per index, so no read takes part of one
-                os.write(feed, index.to_bytes(4, "little"))
+            try:
+                for index in range(len(units)):
+                    # one write per index, so no read takes part of one; a
+                    # full pipe blocks until a worker reads
+                    os.write(feed, index.to_bytes(4, "little"))
+            except BrokenPipeError:
+                pass  # every worker has gone: the merge names the first lost unit
         finally:
             for fd in (tasks, feed):
                 if fd is not None:
                     os.close(fd)
             for pid in pids:
                 os.waitpid(pid, 0)
-        entries = []
-        for index, name in enumerate(suite_names):
-            try:
-                with open(os.path.join(outdir, str(index)), "rb") as handle:
-                    ok, value = pickle.load(handle)
-            except FileNotFoundError:
-                raise RuntimeError(f"suite {name}: its worker process left no result") from None
-            if not ok:
-                raise value
-            entries += value
-    return entries
+        for name in os.listdir(outdir):
+            if name.endswith(".pickle"):
+                with open(os.path.join(outdir, name), "rb") as handle:
+                    results.update(pickle.load(handle))
+    return results
 
 
-def _worker(tasks, suite_names, ctx, outdir, parent):
-    """Body of a forked worker; it never returns.  A worker whose parent
-    has gone takes no further suite."""
+def _worker(tasks, units, outdir, parent):
+    """Body of a forked worker; it never returns.  It writes the results
+    of all its units to one pickle when the feed ends.  A worker whose
+    parent has gone takes no further unit."""
     import pickle
 
     code = 1
     try:
+        results = {}
         while os.getppid() == parent:
             record = os.read(tasks, 4)
             if not record:
                 break
             index = int.from_bytes(record, "little")
             try:
-                result = (True, _suite_entries(suite_names[index], ctx))
+                results[index] = (True, units[index].run())
             except Exception as exc:
-                result = (False, exc)
-            path = os.path.join(outdir, str(index))
-            with open(path + ".tmp", "wb") as handle:
-                pickle.dump(result, handle)
-            os.replace(path + ".tmp", path)
+                results[index] = (False, exc)
+        path = os.path.join(outdir, f"{os.getpid()}.pickle")
+        with open(path + ".tmp", "wb") as handle:
+            pickle.dump(results, handle)
+        os.replace(path + ".tmp", path)
         code = 0
     finally:
         os._exit(code)

@@ -216,7 +216,8 @@ def _axiom_residuals(structure, e1, e2, e3, f):
 
 
 def lcourant_axioms(structure, samples, seed, max_degree=2, coeff_bound=3):
-    """Check the five axioms on seeded random triples; returns report rows.
+    """Check the five axioms on seeded random triples; returns the deferred
+    stream of report rows (``sampling.Stream``).
 
     A failing row's witness carries the printed inputs and the residual.
     """

@@ -2,7 +2,9 @@
 
 Every sampled identity of the package, in the suites and in the layer
 helpers, runs through ``check_cases``: one loop over the cases, one zero
-test and one witness format.  This module imports no layer of the
+test and one witness format.  The layer helpers return a ``Stream``,
+which checks its cases only when its rows are asked for, a range of
+cases at a time if need be.  This module imports no layer of the
 package, so every layer can use it.
 """
 
@@ -59,10 +61,51 @@ def check_cases(cases, checks, context=None, label="{name}[{case}]"):
     return out
 
 
-def sample(samples, seed, draw, checks, context=None):
-    """``check_cases`` of ``samples`` cases drawn in turn from one stream.
+class Stream:
+    """``check_cases`` of ``count`` cases drawn in turn from one stream,
+    deferred until its rows are asked for.
 
-    ``draw(rng)`` returns one case's inputs from ``random.Random(seed)``.
+    ``draw(rng)`` returns one case's inputs from ``random.Random(seed)``,
+    so case k depends on the draws of cases 0..k-1.  ``rows(lo, hi)``
+    draws cases up to ``lo`` without checking them and checks cases
+    ``lo..hi-1`` only.  The stream keeps its generator after a range, so
+    ranges taken in increasing order draw every case once.  ``tag`` names
+    the stream in a case address, and ``label`` formats its row labels
+    as in ``check_cases``.  Iterating a stream runs all of it.
     """
-    rng = random.Random(seed)
-    return check_cases(((case, draw(rng)) for case in range(samples)), checks, context)
+
+    def __init__(self, count, seed, draw, checks, context=None, tag=None, label="{name}[{case}]"):
+        self.count = count
+        self.seed = seed
+        self.draw = draw
+        self.checks = checks
+        self.context = context
+        self.tag = tag
+        self.label = label
+        self._cursor = None  # (generator, next case) after the last range
+
+    def tagged(self, tag, prefix=""):
+        """The same stream with address tag ``tag`` and ``prefix`` before its labels."""
+        return Stream(
+            self.count, self.seed, self.draw, self.checks, self.context, tag, prefix + self.label
+        )
+
+    def rows(self, lo=0, hi=None):
+        hi = self.count if hi is None else hi
+        cursor, self._cursor = self._cursor, None
+        rng, case = cursor if cursor and cursor[1] <= lo else (random.Random(self.seed), 0)
+        for _ in range(case, lo):
+            self.draw(rng)
+        cases = ((case, self.draw(rng)) for case in range(lo, hi))
+        rows = check_cases(cases, self.checks, self.context, self.label)
+        # kept only when no draw or check raised in between two cases
+        self._cursor = (rng, hi)
+        return rows
+
+    def __iter__(self):
+        return iter(self.rows())
+
+
+def sample(samples, seed, draw, checks, context=None):
+    """The deferred ``Stream`` of ``samples`` cases drawn from ``random.Random(seed)``."""
+    return Stream(samples, seed, draw, checks, context)

@@ -2,13 +2,17 @@
 
 Each suite is a table: a function of the context (model size, sample
 count, master seed, generator bounds, optional named forms) that returns
-identity families and plain rows in report order.  A ``Family`` names a
-seed tag, a case count, a draw and its checks; ``_table_runner`` turns
-the table into the suite's ordered list of case outcomes
-``(label, ok, witness)``.  All randomness is derived from the master
-seed and the seed tags, so a rerun of the same scenario reproduces the
-same report byte for byte.  Negative controls are built in: they pass
-exactly when the expected failure is detected and carry its witness.
+its items in report order.  A ``Family`` names a seed tag, a case count,
+a draw and its checks, and seeds each case on its own; a
+``sampling.Stream`` draws its cases in turn from one seed; a ``Row`` is
+one fixed check.  Building a table computes no row: ``table_units``
+turns it into the suite's units, each with an address (suite, tag and
+case range) and a ``run()`` that returns the rows
+``(label, ok, witness)`` of those cases, so one unit can run anywhere in
+any process.  All randomness is derived from the master seed and the
+seed tags, so a rerun of the same scenario reproduces the same report
+byte for byte.  Negative controls are built in: they pass exactly when
+the expected failure is detected.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 
 from .errors import NonInvertible
 from .sampling import CheckResult, check_cases, outcome
@@ -129,24 +134,54 @@ class Family:
     context: object = None
     label: str = "{name}[{case}]"
 
+    def rows(self, ctx, lo, hi):
+        cases = ((case, self.draw(_rng(ctx, self.tag, case), case)) for case in range(lo, hi))
+        return check_cases(cases, self.checks, self.context, self.label)
 
-def _table_runner(table):
-    """The suite runner of a table: rows as they are, families case by case."""
 
-    def runner(ctx):
-        out = []
-        for item in table(ctx):
-            if isinstance(item, Family):
-                cases = (
-                    (case, item.draw(_rng(ctx, item.tag, case), case))
-                    for case in range(item.count)
-                )
-                out += check_cases(cases, item.checks, item.context, item.label)
-            else:
-                out.append(item)
-        return out
+@dataclass(frozen=True)
+class Row:
+    """One fixed row of a suite table: ``value()`` returns its residual or
+    CheckResult, and is called only when the row runs."""
 
-    return runner
+    label: str
+    value: object
+
+    def rows(self):
+        return [outcome(self.label, self.value())]
+
+
+@dataclass(frozen=True)
+class Unit:
+    """The unit of scheduling: the cases ``lo..hi-1`` of the family, stream
+    or row ``tag`` of a suite.  ``run()`` returns their rows."""
+
+    suite: str
+    tag: str
+    lo: int
+    hi: int
+    run: object
+
+
+def table_units(suite, table, ctx):
+    """The units of a suite table in report order: one per case of each
+    family and stream, one per fixed row."""
+    units = []
+    for item in table(ctx):
+        if isinstance(item, Row):
+            units.append(Unit(suite, item.label, 0, 1, item.rows))
+            continue
+        rows = partial(item.rows, ctx) if isinstance(item, Family) else item.rows
+        units += [
+            Unit(suite, item.tag, case, case + 1, partial(rows, case, case + 1))
+            for case in range(item.count)
+        ]
+    return units
+
+
+def run_units(units):
+    """Every row of the units, run in order in this process."""
+    return [row for unit in units for row in unit.run()]
 
 
 def default_twist(ctx):
@@ -197,26 +232,27 @@ def atiyah_calculus(ctx):
 
 def lcourant_axioms_suite(ctx):
     def axioms(name, structure, tag):
-        rows = lcourant_axioms(
+        stream = lcourant_axioms(
             structure, ctx.samples, derive_seed(ctx.seed, tag), ctx.max_degree, ctx.coeff_bound
         )
-        return [(f"{name}:{label}", ok, witness) for label, ok, witness in rows]
+        return stream.tagged(tag, f"{name}:")
 
-    # negative control with its own three-variable model: a non-closed
-    # twist must break the first axiom with a witness
-    bad = AtiyahForm(3, 3, {(0, 1, 3): Scalar.variable(3, 3)})
-    control = lcourant_axioms(
-        LCourantStructure.twisted(bad), 6, derive_seed(ctx.seed, "lc-bad"), 1, 2
-    )
-    failures = [w for label, ok, w in control if label.startswith("LC1") and not ok]
+    def control():
+        # negative control with its own three-variable model: a non-closed
+        # twist must break the first axiom with a witness
+        bad = AtiyahForm(3, 3, {(0, 1, 3): Scalar.variable(3, 3)})
+        rows = lcourant_axioms(
+            LCourantStructure.twisted(bad), 6, derive_seed(ctx.seed, "lc-bad"), 1, 2
+        )
+        failures = [w for label, ok, w in rows if label.startswith("LC1") and not ok]
+        return CheckResult(
+            bool(failures), "nonclosed-twist-detected", {"error": "no LC1 failure found"}
+        )
+
     return [
-        *axioms("omni", LCourantStructure.omni(ctx.n), "lc-omni"),
-        *axioms("twisted", LCourantStructure.twisted(default_twist(ctx)), "lc-twisted"),
-        (
-            "nonclosed-twist-detected",
-            bool(failures),
-            failures[0] if failures else {"error": "no LC1 failure found"},
-        ),
+        axioms("omni", LCourantStructure.omni(ctx.n), "lc-omni"),
+        axioms("twisted", LCourantStructure.twisted(default_twist(ctx)), "lc-twisted"),
+        Row("nonclosed-twist-detected", control),
     ]
 
 
@@ -271,11 +307,15 @@ def linf_oracle(ctx):
     ]
     if ctx.n >= 2:
         structures.append(("graph", build_graph_linf(twist)))
-    expected = {2: 1, 3: -1, 4: -1, 5: 1}
-    ok = all(kappa(k) == v for k, v in expected.items())
+
+    def kappa_table():
+        expected = {2: 1, 3: -1, 4: -1, 5: 1}
+        got = {k: kappa(k) for k in expected}
+        return CheckResult(got == expected, "kappa-table", {"got": got})
+
     return [
         *(f for tag, structure in structures for f in _oracle_families(ctx, structure, tag)),
-        ("kappa-table", ok, None if ok else {"got": {k: kappa(k) for k in expected}}),
+        Row("kappa-table", kappa_table),
     ]
 
 
@@ -306,31 +346,34 @@ def semidirect_agreement(ctx):
         }
 
     return [
-        *data.axiom_residuals(
+        data.axiom_residuals(
             max(3, ctx.samples // 5),
             derive_seed(ctx.seed, "rep-axioms"),
             min(ctx.max_degree, 1),
             ctx.coeff_bound,
-        ),
+        ).tagged("rep-axioms"),
         Family("semidirect", ctx.samples, draw, checks),
     ]
 
 
 def _injectivity(label, basis, fn, coordinates, n):
-    """Row certifying fn injective on basis: its image's coefficients of
-    degree <= 2, one column per basis element, have full column rank."""
-    monos = monomials_upto(n, 2)
-    cols = []
-    for b in basis:
-        col = []
-        for s in coordinates(fn(b)):
-            if not s.is_polynomial():
-                raise ValueError("injectivity certificates expect polynomial entries")
-            col += [Scalar.from_fraction(n, s.num.coefficient(mono)) for mono in monos]
-        cols.append(col)
-    rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-    ok = linalg.rank(rows) == len(cols)
-    return (label, ok, None if ok else {"error": "kernel found"})
+    """Row certifying fn injective on ``basis()``: its image's coefficients
+    of degree <= 2, one column per basis element, have full column rank."""
+
+    def value():
+        monos = monomials_upto(n, 2)
+        cols = []
+        for b in basis():
+            col = []
+            for s in coordinates(fn(b)):
+                if not s.is_polynomial():
+                    raise ValueError("injectivity certificates expect polynomial entries")
+                col += [Scalar.from_fraction(n, s.num.coefficient(mono)) for mono in monos]
+            cols.append(col)
+        rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
+        return CheckResult(linalg.rank(rows) == len(cols), label, {"error": "kernel found"})
+
+    return Row(label, value)
 
 
 def morphism_3_9(ctx):
@@ -344,17 +387,18 @@ def morphism_3_9(ctx):
     def draw(rng, case):
         return domain.random_tuple(3, rng, 1, ctx.coeff_bound, degrees=[0, 0, 0])
 
-    basis = [
-        DSection(Derivation.basis(n, t).scale(m), AtiyahForm.zero(n, 0))
-        for t in range(n + 1)
-        for m in monomial_scalars(n, 2)
-    ]
-    basis += [
-        DSection(Derivation.zero(n), AtiyahForm.from_scalar(m))
-        for m in monomial_scalars(n, 2)
-    ]
+    def basis():
+        return [
+            DSection(Derivation.basis(n, t).scale(m), AtiyahForm.zero(n, 0))
+            for t in range(n + 1)
+            for m in monomial_scalars(n, 2)
+        ] + [
+            DSection(Derivation.zero(n), AtiyahForm.from_scalar(m))
+            for m in monomial_scalars(n, 2)
+        ]
+
     return [
-        *morphism_residuals(
+        morphism_residuals(
             morphism,
             domain,
             build_two_term(LCourantStructure.omni(n)),
@@ -362,7 +406,7 @@ def morphism_3_9(ctx):
             derive_seed(ctx.seed, "m39-res"),
             min(ctx.max_degree, 1),
             ctx.coeff_bound,
-        ),
+        ).tagged("m39-res"),
         # the domain bracket is a Lie algebra bracket for a closed shift
         Family(
             "m39-lie",
@@ -416,13 +460,15 @@ def morphism_5_9(ctx):
             "triple-contraction": lhs - triple - cyc,
         }
 
-    forms_basis = [
-        hamiltonian_form(AtiyahForm(n, 1, {(a_idx,): m}), xi)
-        for a_idx in range(n + 1)
-        for m in monomial_scalars(n, 2)
-    ]
+    def forms_basis():
+        return [
+            hamiltonian_form(AtiyahForm(n, 1, {(a_idx,): m}), xi)
+            for a_idx in range(n + 1)
+            for m in monomial_scalars(n, 2)
+        ]
+
     return [
-        *morphism_residuals(
+        morphism_residuals(
             morphism,
             build_graph_linf(omega),
             build_two_term(LCourantStructure.twisted(omega)),
@@ -430,10 +476,12 @@ def morphism_5_9(ctx):
             derive_seed(ctx.seed, "m59-res"),
             min(ctx.max_degree, 2),
             ctx.coeff_bound,
-        ),
+        ).tagged("m59-res"),
         Family("m59-eqs", ctx.samples, draw, checks),
         _injectivity("phi0-injective", forms_basis, morphism.phi0, section_coordinates, n),
-        _injectivity("phi1-injective", monomial_scalars(n, 2), morphism.phi1, lambda s: [s], n),
+        _injectivity(
+            "phi1-injective", partial(monomial_scalars, n, 2), morphism.phi1, lambda s: [s], n
+        ),
     ]
 
 
@@ -478,7 +526,7 @@ def exact_curvature(ctx):
     n = ctx.n
     omega = default_twist(ctx)
     structure = LCourantStructure.twisted(omega)
-    flat = curvature(Connection.zero(n), structure)
+    flat = cache(lambda: curvature(Connection.zero(n), structure))
 
     def draw(rng, case):
         if case == 0 and "theta" in ctx.forms:
@@ -488,13 +536,13 @@ def exact_curvature(ctx):
     def checks(theta):
         shifted = curvature(Connection.zero(n).shifted(theta), structure)
         return {
-            "shift-law": shifted - flat - differential(theta),
+            "shift-law": shifted - flat() - differential(theta),
             "primitive-reproduces": differential(primitive(shifted)) - shifted,
         }
 
     return [
-        outcome("zero-splitting-curvature", flat - omega),
-        outcome("curvature-closed", differential(flat)),
+        Row("zero-splitting-curvature", lambda: flat() - omega),
+        Row("curvature-closed", lambda: differential(flat())),
         Family("curv", ctx.samples, draw, checks),
     ]
 
@@ -544,39 +592,38 @@ def observables(ctx):
             ),
         }
 
+    def ambiguity_empty():
+        ambiguity = hamiltonian_ambiguity(xi)
+        return CheckResult(
+            not ambiguity, "ambiguity-empty", {"basis": [str(d) for d in ambiguity]}
+        )
+
     table = [
-        outcome("graph-isotropic", is_isotropic(xi)),
-        outcome(
+        Row("graph-isotropic", lambda: is_isotropic(xi)),
+        Row(
             "graph-involutive",
-            is_involutive(xi, samples=3, seed=derive_seed(ctx.seed, "obs-inv")),
+            lambda: is_involutive(xi, samples=3, seed=derive_seed(ctx.seed, "obs-inv")),
         ),
         Family("obs", ctx.samples, draw, checks),
-        *induced_algebroid_residuals(
+        induced_algebroid_residuals(
             xi, max(3, ctx.samples // 10), derive_seed(ctx.seed, "obs-alg")
-        ),
+        ).tagged("obs-alg"),
     ]
-    ambiguity = hamiltonian_ambiguity(xi)
     if linalg.rank(xi._form_matrix()) == n + 1:
-        table.append(
-            (
-                "ambiguity-empty",
-                not ambiguity,
-                None if not ambiguity else {"basis": [str(d) for d in ambiguity]},
-            )
-        )
+        table.append(Row("ambiguity-empty", ambiguity_empty))
 
     # representative independence on a degenerate fixture
     fixture = _degenerate_fixture(n)
-    amb = hamiltonian_ambiguity(fixture)
+    amb = cache(lambda: hamiltonian_ambiguity(fixture))
 
     def draw_fixture(rng, case):
         a = _fixture_hamiltonian(fixture, rng, ctx.coeff_bound)
         b = _fixture_hamiltonian(fixture, rng, ctx.coeff_bound)
-        return a, b, [random_polynomial(n, rng, 1, ctx.coeff_bound) for _ in amb]
+        return a, b, [random_polynomial(n, rng, 1, ctx.coeff_bound) for _ in amb()]
 
     def fixture_checks(a, b, shifts):
         shifted_der = a.ham_der
-        for amb_d, c in zip(amb, shifts):
+        for amb_d, c in zip(amb(), shifts):
             shifted_der = shifted_der + amb_d.scale(c)
         shifted = HamiltonianForm(a.alpha, shifted_der)
         return {
@@ -585,10 +632,13 @@ def observables(ctx):
         }
 
     return table + [
-        (
+        Row(
             "fixture-ambiguity-nonzero",
-            bool(amb),
-            None if amb else {"error": "expected a nonzero ambiguity basis"},
+            lambda: CheckResult(
+                bool(amb()),
+                "fixture-ambiguity-nonzero",
+                {"error": "expected a nonzero ambiguity basis"},
+            ),
         ),
         Family("obs-fix", max(3, ctx.samples // 5), draw_fixture, fixture_checks),
     ]
@@ -667,22 +717,22 @@ def jacobi(ctx):
 
     # the canonical contact-type bracket in one variable
     contact = JacobiBiderivation.from_closed_form(AtiyahForm.basis(1, (0, 1)))
-    value = jacobi_bracket(contact, Scalar.variable(1, 1), Scalar.one(1))
     flipped = JacobiBiderivation(1, [[-v for v in row] for row in contact.matrix])
+
+    def contact_value():
+        value = jacobi_bracket(contact, Scalar.variable(1, 1), Scalar.one(1))
+        return CheckResult(value == -1, "contact-bracket-value", {"got": str(value)})
+
     return [
         Family("jacobi", ctx.samples, draw, checks),
-        (
-            "contact-bracket-value",
-            value == -1,
-            None if value == -1 else {"got": str(value)},
-        ),
-        outcome(
+        Row("contact-bracket-value", contact_value),
+        Row(
             "contact-is-jacobi",
-            is_jacobi(contact, samples=3, seed=derive_seed(ctx.seed, "jac-c")),
+            lambda: is_jacobi(contact, samples=3, seed=derive_seed(ctx.seed, "jac-c")),
         ),
-        outcome(
+        Row(
             "evaluation-orientation-is-jacobi",
-            is_jacobi(flipped, samples=3, seed=derive_seed(ctx.seed, "jac-f")),
+            lambda: is_jacobi(flipped, samples=3, seed=derive_seed(ctx.seed, "jac-f")),
         ),
     ]
 
@@ -714,39 +764,35 @@ def twisted_jacobi(ctx):
         shear = AtiyahForm(n, 2, {(1, n): Scalar.variable(n, 1)})
         twist = differential(shear)
         twisted = gauge_jacobi(base, shear)
-        table.append(outcome("gauged-is-twisted", is_twisted_jacobi(twisted, twist)))
+        table.append(Row("gauged-is-twisted", lambda: is_twisted_jacobi(twisted, twist)))
     else:
         # one variable admits no nonzero twist: fall back to the
         # canonical contact-type bracket
         twisted = JacobiBiderivation.from_closed_form(AtiyahForm.basis(1, (0, 1)))
         twist = AtiyahForm.zero(1, 3)
-    table += jet_algebroid_residuals(
-        twisted, twist, max(2, ctx.samples // 10), derive_seed(ctx.seed, "twj-jet")
+    table.append(
+        jet_algebroid_residuals(
+            twisted, twist, max(2, ctx.samples // 10), derive_seed(ctx.seed, "twj-jet")
+        ).tagged("twj-jet")
     )
 
-    # fixed three-variable negative control: a contact-type bracket is
-    # untwisted, so a spanning twist must leave a nonzero residual
-    n3 = 3
-    alpha = AtiyahForm(
-        n3, 1, {(0,): Scalar.variable(n3, 2), (2,): Scalar.one(n3)}
-    )
-    contact = JacobiBiderivation.from_closed_form(differential(alpha))
-    residual = twisted_jacobi_residual(
-        contact,
-        AtiyahForm.basis(n3, (0, 1, 3)),
-        Scalar.variable(n3, 1),
-        Scalar.variable(n3, 2),
-        Scalar.variable(n3, 3),
-    )
-    detected = not residual.is_zero()
-    table.append(
-        (
-            "spanning-twist-detected",
-            detected,
-            None if detected else {"error": "residual vanished"},
+    def spanning_twist_detected():
+        # fixed three-variable negative control: a contact-type bracket is
+        # untwisted, so a spanning twist must leave a nonzero residual
+        n3 = 3
+        alpha = AtiyahForm(n3, 1, {(0,): Scalar.variable(n3, 2), (2,): Scalar.one(n3)})
+        contact = JacobiBiderivation.from_closed_form(differential(alpha))
+        residual = twisted_jacobi_residual(
+            contact,
+            AtiyahForm.basis(n3, (0, 1, 3)),
+            Scalar.variable(n3, 1),
+            Scalar.variable(n3, 2),
+            Scalar.variable(n3, 3),
         )
-    )
-    return table
+        detected = not residual.is_zero()
+        return CheckResult(detected, "spanning-twist-detected", {"error": "residual vanished"})
+
+    return table + [Row("spanning-twist-detected", spanning_twist_detected)]
 
 
 def gauge(ctx):
@@ -791,19 +837,21 @@ def gauge(ctx):
         )
         return out
 
-    found = find_noninvertible_pair(max(2, n))
-    if found is None:
-        witness = {"error": "no singular pair found in the search box"}
-    else:
+    def noninvertible_witness():
+        label = "noninvertible-witness"
+        found = find_noninvertible_pair(max(2, n))
+        if found is None:
+            return CheckResult(False, label, {"error": "no singular pair found in the search box"})
         try:
             gauge_jacobi(*found)
-            witness = {"error": "expected the gauge move to be singular"}
         except NonInvertible:
-            witness = None
+            return CheckResult(True, label)
+        return CheckResult(False, label, {"error": "expected the gauge move to be singular"})
+
     return [
         Family("gauge", ctx.samples, draw, checks),
         Family("gauge-tau", max(2, ctx.samples // 5), draw_tau, tau_checks),
-        ("noninvertible-witness", witness is None, witness),
+        Row("noninvertible-witness", noninvertible_witness),
     ]
 
 
@@ -811,32 +859,43 @@ def gauge(ctx):
 class SuiteSpec:
     """A registered suite.  ``omega`` says what it needs of a named twist:
     None when it never reads ``forms.omega``, "closed" when it reads it
-    as its closed 3-form twist, and "nondegenerate" when it also builds
-    the graph's observables from it."""
+    as its closed 3-form twist, "nondegenerate" when it also builds the
+    graph's observables from it, and "constant" when it also needs the
+    graph's Hamiltonian derivations to be polynomial.  ``runner(ctx)``
+    runs every unit of the table in order, in process; it defaults to
+    ``run_units`` of ``units(ctx)``."""
 
     name: str
     min_n: int
     max_n: int | None
     omega: str | None
-    runner: object
+    table: object
+    runner: object = None
+
+    def __post_init__(self):
+        if self.runner is None:
+            object.__setattr__(self, "runner", lambda ctx: run_units(self.units(ctx)))
+
+    def units(self, ctx):
+        return table_units(self.name, self.table, ctx)
 
 
 SUITES = {
     spec.name: spec
     for spec in [
-        SuiteSpec("atiyah-calculus", 1, None, None, _table_runner(atiyah_calculus)),
-        SuiteSpec("lcourant-axioms", 1, None, "closed", _table_runner(lcourant_axioms_suite)),
-        SuiteSpec("linf-oracle", 1, None, "closed", _table_runner(linf_oracle)),
-        SuiteSpec("semidirect-agreement", 1, None, None, _table_runner(semidirect_agreement)),
-        SuiteSpec("morphism-3-9", 1, None, None, _table_runner(morphism_3_9)),
-        SuiteSpec("morphism-5-9", 2, 2, "nondegenerate", _table_runner(morphism_5_9)),
-        SuiteSpec("cohomologous-iso", 1, None, "closed", _table_runner(cohomologous_iso_suite)),
-        SuiteSpec("exact-curvature", 1, None, "closed", _table_runner(exact_curvature)),
-        SuiteSpec("observables", 2, 2, "closed", _table_runner(observables)),
-        SuiteSpec("useful-lemma", 2, 2, "closed", _table_runner(useful_lemma)),
-        SuiteSpec("dg-leibniz", 2, 2, "nondegenerate", _table_runner(dg_leibniz)),
-        SuiteSpec("jacobi", 1, None, None, _table_runner(jacobi)),
-        SuiteSpec("twisted-jacobi", 1, None, None, _table_runner(twisted_jacobi)),
-        SuiteSpec("gauge", 1, None, None, _table_runner(gauge)),
+        SuiteSpec("atiyah-calculus", 1, None, None, atiyah_calculus),
+        SuiteSpec("lcourant-axioms", 1, None, "closed", lcourant_axioms_suite),
+        SuiteSpec("linf-oracle", 1, None, "closed", linf_oracle),
+        SuiteSpec("semidirect-agreement", 1, None, None, semidirect_agreement),
+        SuiteSpec("morphism-3-9", 1, None, None, morphism_3_9),
+        SuiteSpec("morphism-5-9", 2, 2, "constant", morphism_5_9),
+        SuiteSpec("cohomologous-iso", 1, None, "closed", cohomologous_iso_suite),
+        SuiteSpec("exact-curvature", 1, None, "closed", exact_curvature),
+        SuiteSpec("observables", 2, 2, "closed", observables),
+        SuiteSpec("useful-lemma", 2, 2, "closed", useful_lemma),
+        SuiteSpec("dg-leibniz", 2, 2, "nondegenerate", dg_leibniz),
+        SuiteSpec("jacobi", 1, None, None, jacobi),
+        SuiteSpec("twisted-jacobi", 1, None, None, twisted_jacobi),
+        SuiteSpec("gauge", 1, None, None, gauge),
     ]
 }

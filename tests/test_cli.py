@@ -12,9 +12,16 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from omnilie.cli import MAX_FORM_TERMS, MAX_N, MAX_SAMPLES, load_scenario, main
+from omnilie.cli import (
+    MAX_COEFF_BOUND,
+    MAX_FORM_TERMS,
+    MAX_N,
+    MAX_SAMPLES,
+    load_scenario,
+    main,
+)
 from omnilie import serialize, suites
 from omnilie.atiyah import AtiyahForm
 from omnilie.errors import Degenerate, NotClosed
@@ -90,12 +97,17 @@ def test_verify_exits_two_on_an_unwritable_report(tmp_path, capsys, where):
     assert list(target.iterdir()) == []
 
 
+def _patch_table(monkeypatch, name, table):
+    """Give a registered suite another table; its runner follows it."""
+    spec = suites.SUITES[name]
+    monkeypatch.setitem(suites.SUITES, name, dataclasses.replace(spec, table=table, runner=None))
+
+
 def test_internal_errors_exit_three(tmp_path, capsys, monkeypatch):
     def broken(ctx):
         raise RuntimeError("a fault of the program")
 
-    spec = suites.SUITES["atiyah-calculus"]
-    monkeypatch.setitem(suites.SUITES, spec.name, dataclasses.replace(spec, runner=broken))
+    _patch_table(monkeypatch, "atiyah-calculus", broken)
     scenario = write_scenario(tmp_path)
     rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
     assert rc == 3
@@ -107,31 +119,42 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_verify_report_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, cpus):
-    # drop-l3 fails linf-oracle, so the report holds witnesses too
-    scenario = write_scenario(
-        tmp_path, suites=["linf-oracle", "lcourant-axioms", "gauge"], samples=2, sabotage="drop-l3"
-    )
-    default, pinned = tmp_path / "default.json", tmp_path / "pinned.json"
-    assert main(["verify", "--scenario", str(scenario), "--report", str(default)]) == 1
-    _cpus(monkeypatch, cpus)
-    assert main(["verify", "--scenario", str(scenario), "--report", str(pinned)]) == 1
-    assert pinned.read_bytes() == default.read_bytes()
+    scenarios = [
+        # drop-l3 fails linf-oracle, so the report holds witnesses too
+        (dict(suites=["linf-oracle", "lcourant-axioms", "gauge"], sabotage="drop-l3"), 1),
+        # one suite, whose cases the workers share
+        (dict(suites=["lcourant-axioms"]), 0),
+    ]
+    for overrides, code in scenarios:
+        scenario = write_scenario(tmp_path, samples=2, **overrides)
+        default, pinned = tmp_path / "default.json", tmp_path / "pinned.json"
+        with monkeypatch.context() as patch:
+            assert main(["verify", "--scenario", str(scenario), "--report", str(default)]) == code
+            _cpus(patch, cpus)
+            assert main(["verify", "--scenario", str(scenario), "--report", str(pinned)]) == code
+        assert pinned.read_bytes() == default.read_bytes(), overrides
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_killed_worker_exits_three_and_leaves_no_child(tmp_path, capsys, monkeypatch):
     test_pid = os.getpid()
 
-    def killed(ctx):
+    def killed():
         if os.getpid() == test_pid:
-            raise AssertionError("the suite ran in the test process")
+            raise AssertionError("the case ran in the test process")
         os.kill(os.getpid(), signal.SIGKILL)
 
-    spec = suites.SUITES["gauge"]
-    monkeypatch.setitem(suites.SUITES, spec.name, dataclasses.replace(spec, runner=killed))
+    _patch_table(monkeypatch, "gauge", lambda ctx: [suites.Row("killed", killed)])
     _cpus(monkeypatch, 2)
-    scenario = write_scenario(tmp_path, suites=["atiyah-calculus", "gauge"])
+    # A dead worker loses the results of every unit it ran; the error names
+    # the suite of the first lost unit in scenario order, here gauge's.
+    scenario = write_scenario(tmp_path, suites=["gauge", "atiyah-calculus"])
     report = tmp_path / "r.json"
     rc = main(["verify", "--scenario", str(scenario), "--report", str(report)])
     assert rc == 3
@@ -139,29 +162,75 @@ def test_a_killed_worker_exits_three_and_leaves_no_child(tmp_path, capsys, monke
         "internal error: RuntimeError: suite gauge: its worker process left no result\n"
     )
     assert not report.exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("alive", [True, False], ids=["workers alive", "workers dead"])
+def test_the_unit_feed_outgrows_the_pipe(tmp_path, capsys, monkeypatch, alive):
+    # 20,000 four-byte unit indices do not fit a 64 KiB pipe, so the
+    # parent's writes block until the workers read, or fail once every
+    # worker has died.
+    count = 20_000
+
+    def value():
+        if not alive:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _patch_table(monkeypatch, "gauge", lambda ctx: [suites.Row(f"r{k}", value) for k in range(count)])
+    _cpus(monkeypatch, 2)
+    scenario = write_scenario(tmp_path, suites=["gauge"])
+    report = tmp_path / "r.json"
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(report)])
+    err = capsys.readouterr().err
+    if alive:
+        assert rc == 0, err
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert [e["case_index"] for e in payload["results"]] == list(range(count))
+    else:
+        assert rc == 3
+        assert err == "internal error: RuntimeError: suite gauge: its worker process left no result\n"
+        assert not report.exists()
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_the_first_failing_suite_in_scenario_order_decides_the_error(
     tmp_path, capsys, monkeypatch, cpus
 ):
-    def slow_first(ctx):
+    def slow_first():
         time.sleep(0.3)
         raise NotClosed("the first suite's error")
 
-    def fast_second(ctx):
+    def fast_second():
         raise Degenerate("the second suite's error")
 
-    for name, runner in (("atiyah-calculus", slow_first), ("gauge", fast_second)):
-        spec = suites.SUITES[name]
-        monkeypatch.setitem(suites.SUITES, name, dataclasses.replace(spec, runner=runner))
+    for name, value in (("atiyah-calculus", slow_first), ("gauge", fast_second)):
+        _patch_table(monkeypatch, name, lambda ctx, value=value: [suites.Row("raises", value)])
     _cpus(monkeypatch, cpus)
     scenario = write_scenario(tmp_path, suites=["atiyah-calculus", "gauge"])
     rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
     assert rc == 2
     assert capsys.readouterr().err == "input error: the first suite's error\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_first_failing_case_in_scenario_order_decides_the_error(
+    tmp_path, capsys, monkeypatch, cpus
+):
+    # two cases of one suite, which two workers run side by side
+    def checks(case):
+        if case == 0:
+            time.sleep(0.3)
+            raise NotClosed("the first case's error")
+        raise Degenerate("the second case's error")
+
+    family = suites.Family("raises", 2, lambda rng, case: (case,), checks)
+    _patch_table(monkeypatch, "gauge", lambda ctx: [family])
+    _cpus(monkeypatch, cpus)
+    scenario = write_scenario(tmp_path, suites=["gauge"])
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == "input error: the first case's error\n"
 
 
 def test_verify_rejects_bad_scenarios(tmp_path, capsys):
@@ -345,6 +414,41 @@ def _term(exps, num="1", den="1"):
     return {"num": num, "den": den, "exps": exps}
 
 
+def _twist_obj(value):
+    """A 3-form in two variables with one coefficient, on [1, 2, inf]."""
+    return {"degree": 3, "coeffs": [{"indices": [1, 2, "inf"], "value": value}]}
+
+
+# (x1 + 2)/(x2 + 3): closed (a top form) and nondegenerate
+_QUOTIENT = {
+    "numerator": [_term([1, 0]), _term([0, 0], num="2")],
+    "denominator": [_term([0, 1]), _term([0, 0], num="3")],
+}
+
+
+@pytest.mark.parametrize(
+    "value, code",
+    [
+        (_QUOTIENT, 2),
+        ({"numerator": [_term([1, 0]), _term([0, 0], num="2")]}, 2),
+        ({"numerator": [_term([0, 0], num="2")]}, 0),
+    ],
+    ids=["quotient", "polynomial", "constant"],
+)
+def test_morphism_5_9_needs_a_twist_with_constant_coefficients(tmp_path, capsys, value, code):
+    # its injectivity certificates used to exit 3 on the first two
+    scenario = write_scenario(
+        tmp_path, suites=["morphism-5-9"], samples=1, forms={"omega": _twist_obj(value)}
+    )
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    if code == 2:
+        assert err == (
+            "input error: forms.omega: morphism-5-9 needs a twist with constant coefficients\n"
+        )
+
+
 MALFORMED_SCALARS = [
     ({"numerator": [_term([0, 0], den="0")]}, "zero denominator"),
     ({"numerator": [_term([0, 0])], "denominator": []}, "denominator is the zero polynomial"),
@@ -428,6 +532,7 @@ def _size_overrides(past):
             {"forms": {"B": _form_with_scalar({"numerator": terms})}},
             f"forms.B: {MAX_FORM_TERMS + 1} coefficients and terms, above the limit",
         ),
+        ({"coeff_bound": MAX_COEFF_BOUND + past}, "coeff_bound: must be an integer in 1.."),
     ]
 
 
@@ -448,8 +553,9 @@ def test_scenarios_at_the_size_caps_load(tmp_path, overrides, needle):
 
 
 # The exit contract: 0 pass, 1 an identity failed, 2 malformed input; 3 is
-# a fault of the program.  The fuzz test below mutates a small valid
-# scenario: cheap suites at n = 1, one sample, and two named 2-forms.
+# a fault of the program.  The fuzz test below mutates one of two small
+# valid scenarios: cheap suites at n = 1, one sample, and two named
+# 2-forms; or cheap graph suites at n = 2 with a quotient twist.
 _FUZZ_BASE = {
     "n": 1,
     "suites": ["exact-curvature", "cohomologous-iso", "jacobi"],
@@ -468,6 +574,18 @@ _FUZZ_BASE = {
         },
     },
 }
+_FUZZ_BASES = [
+    _FUZZ_BASE,
+    {
+        "n": 2,
+        "suites": ["dg-leibniz", "exact-curvature"],
+        "samples": 1,
+        "seed": 7,
+        "max_degree": 1,
+        "coeff_bound": 2,
+        "forms": {"omega": _twist_obj(_QUOTIENT)},
+    },
+]
 
 # Stands for an integer of 5000 digits, which json.dumps cannot write.
 _HUGE = "__huge_integer__"
@@ -475,7 +593,8 @@ _HUGE = "__huge_integer__"
 # Valid values stay cheap: the small integers are at most 3, and 9, 512
 # and 1001 are past the caps of n, max_degree and samples.
 _NAMES = st.sampled_from(
-    ["jacobi", "exact-curvature", "cohomologous-iso", "Jacobi", "jacobi ", "", "all",
+    ["jacobi", "exact-curvature", "cohomologous-iso", "dg-leibniz", "morphism-5-9",
+     "Jacobi", "jacobi ", "", "all",
      "B", "omega", "theta", "inf", "drop-l3", "0"]
 )
 _LEAVES = st.one_of(
@@ -508,10 +627,10 @@ def _paths(doc, prefix=()):
 
 @st.composite
 def _mutated_scenarios(draw):
-    """The base scenario after one or two mutations: drop a key or item,
+    """A base scenario after one or two mutations: drop a key or item,
     replace a value (other types, out-of-range or huge integers, garbled
     names), or add an unknown key or item."""
-    doc = copy.deepcopy(_FUZZ_BASE)
+    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
         path = draw(st.sampled_from(list(_paths(doc))))
         action = draw(st.sampled_from(["drop", "replace", "add"]))
@@ -548,12 +667,16 @@ def _assert_exit_contract(doc):
 
 def test_the_fuzzed_base_scenario_passes(tmp_path):
     scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps(_FUZZ_BASE), encoding="utf-8")
-    assert main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")]) == 0
+    for base in _FUZZ_BASES:
+        scenario.write_text(json.dumps(base), encoding="utf-8")
+        rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+        assert rc == 0, base
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_mutated_scenarios())
+# a suite name added to the quotient base: morphism-5-9 once exited 3 on it
+@example(dict(_FUZZ_BASES[1], suites=["dg-leibniz", "exact-curvature", "morphism-5-9"]))
 def test_mutated_scenarios_keep_the_exit_contract(doc):
     _assert_exit_contract(doc)
 

@@ -128,3 +128,38 @@ def test_one_zero_test_and_one_witness_format():
     ]
     # the context is built for failing residuals only
     assert shown == [x, x]
+
+
+def test_a_stream_checks_any_range_of_its_cases():
+    from omnilie.sampling import CheckResult, sample
+
+    draws = []
+
+    def draw(rng):
+        draws.append(1)
+        return (rng.randrange(1000),)
+
+    def stream():
+        return sample(6, 3, draw, lambda v: {"even": CheckResult(v % 2 == 0, "even", {"v": v})})
+
+    whole = list(stream())
+    assert len(whole) == 6 and len(draws) == 6
+    # a later range redraws the cases before it without checking them
+    draws.clear()
+    assert stream().rows(4, 6) == whole[4:]
+    assert len(draws) == 6
+    # ranges taken in increasing order draw every case once
+    draws.clear()
+    ordered = stream()
+    assert [row for k in range(6) for row in ordered.rows(k, k + 1)] == whole
+    assert len(draws) == 6
+
+
+def test_units_run_in_any_order_give_the_runner_rows():
+    # Backwards, every unit of a stream redraws its stream from the start.
+    ctx = small_ctx()
+    for name, spec in sorted(SUITES.items()):
+        units = spec.units(ctx)
+        rows = {index: units[index].run() for index in reversed(range(len(units)))}
+        assert [row for index in range(len(units)) for row in rows[index]] == spec.runner(ctx), name
+        assert all(unit.suite == name and unit.lo < unit.hi for unit in units), name
