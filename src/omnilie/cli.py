@@ -388,6 +388,16 @@ def _write_atomically(path, payload):
         raise
 
 
+def _write_stdout(text):
+    """Write and flush; once the reader has closed the pipe, stdout goes to
+    os.devnull, so no write or flush at exit can change the exit code."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def cmd_verify(args):
     try:
         suite_names, ctx, raw = load_scenario(args.scenario)
@@ -415,8 +425,7 @@ def cmd_verify(args):
             file=sys.stderr,
         )
         return 2
-    sys.stdout.write(report_text(report))
-    sys.stdout.write(f"report written to {args.report}\n")
+    _write_stdout(f"{report_text(report)}report written to {args.report}\n")
     return 0 if report["all_passed"] else 1
 
 
@@ -483,7 +492,7 @@ def cmd_demo(args):
             file=sys.stderr,
         )
         return 2
-    print(text)
+    _write_stdout(text + "\n")
     return 0
 
 
@@ -506,7 +515,7 @@ def cmd_primitive(args):
         print("input error: form: not closed, no primitive exists", file=sys.stderr)
         return 2
     payload = {"n": n, **serialize.form_to_obj(result)}
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _write_stdout(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -399,6 +399,50 @@ def test_console_entry_point_subprocess(tmp_path, cli_env):
     assert "PASS gauge" in proc.stdout
 
 
+@pytest.mark.parametrize("buffered", [True, False])
+@pytest.mark.parametrize(
+    "command, code",
+    [("verify", 0), ("verify-failing", 1), ("demo", 0), ("primitive", 0)],
+)
+def test_a_closed_stdout_keeps_the_exit_code(tmp_path, cli_env, command, code, buffered):
+    # As in `omnilie verify ... | head -1`: the reader is gone before the
+    # command writes, with stdout block-buffered (the write fails at exit)
+    # or unbuffered (the write fails at once).
+    if command == "verify-failing":
+        scenario = write_scenario(
+            tmp_path, suites=["linf-oracle"], samples=1, sabotage="drop-l3"
+        )
+    else:
+        scenario = write_scenario(tmp_path, suites=["gauge"], samples=1)
+    form = tmp_path / "form.json"
+    form.write_text(
+        json.dumps({"n": 2, **serialize.form_to_obj(AtiyahForm.basis(2, (0, 1, 2)))}),
+        encoding="utf-8",
+    )
+    argv = {
+        "verify": ["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r")],
+        "demo": ["demo", "acyclicity"],
+        "primitive": ["primitive", "--form", str(form)],
+    }[command.split("-")[0]]
+    env = {k: v for k, v in cli_env.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "omnilie.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
 def test_shipped_scenario_is_valid_json():
     path = SCENARIOS / "all-suites.json"
     payload = json.loads(path.read_text(encoding="utf-8"))

@@ -292,13 +292,12 @@ def test_membership_in_a_polynomial_graph_takes_no_gcd(count_operations):
 
 
 def test_determinant_matches_the_recorded_counts(count_operations):
-    # determinant, the elimination the cohomologous-iso suite runs, pivots
-    # on the first nonzero row and normalizes a rational function at each
-    # row operation.  Its counts depend on the term order of the gcd's
-    # results, which the jacobi run of
-    # test_scalar.py::test_counted_operations_match_the_recorded_counts
-    # no longer reaches: its eliminations pivot on constants.  The matrices
-    # are sharp(J, .) with a bracket's coordinates in the first column.
+    # determinant, which the cohomologous-iso suite runs, reads the
+    # fraction-free elimination: polynomial rows take Bareiss's step where
+    # a column holds no constant, and the result is built as one Scalar
+    # over the denominator 1, so no gcd runs.  The matrices are sharp(J, .)
+    # with a bracket's coordinates in the first column, and a change to
+    # the steps or the pivots shows in the counts.
     xi, brackets = _polynomial_graph()
     sharp = xi._full_matrix()[:4]
     matrices = [
@@ -307,7 +306,7 @@ def test_determinant_matches_the_recorded_counts(count_operations):
     ]
     counts = count_operations()
     assert not any(linalg.determinant(m).is_zero() for m in matrices)
-    assert counts == {"poly_mul": 5166, "coeff_products": 66828, "gcd": 1633}
+    assert counts == {"poly_mul": 527, "coeff_products": 23628, "gcd": 0}
 
 
 # An oracle for the bracket that shares no code with jacobi.py: the double

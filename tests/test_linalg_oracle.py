@@ -2,6 +2,9 @@
 
 Matrices are small, some with constant entries and some without, and some
 singular on purpose: a row repeated or a combination of earlier rows.
+Rank is also checked on true quotients, polynomials over linear
+denominators.  Solves, inverses and determinants of quotient matrices
+are left out: their canonical entries cost large gcds.
 """
 
 import pytest
@@ -27,25 +30,36 @@ def polynomials(draw, n, constant):
 
 
 @st.composite
-def entries(draw, n, constants):
-    kind = draw(st.sampled_from(["zero", "poly", "poly"] + ["constant"] * (2 * constants)))
+def linear_denominators(draw, n):
+    monos = monomials_upto(n, 1)
+    return Polynomial(n, {monos[0]: draw(coefficients), draw(st.sampled_from(monos[1:])): 1})
+
+
+@st.composite
+def entries(draw, n, constants, quotients=False):
+    kinds = ["zero", "poly", "poly"] + ["constant"] * (2 * constants)
+    kind = draw(st.sampled_from(kinds + ["quotient"] * (2 * quotients)))
     if kind == "zero":
         return Scalar.zero(n)
+    if kind == "quotient":
+        return Scalar(draw(polynomials(n, False)), draw(linear_denominators(n)))
     return Scalar(draw(polynomials(n, kind == "constant")))
 
 
 @st.composite
-def matrices(draw, square=False):
-    """(n, rows): 1-4 rows and columns over 1-2 variables.  Rows past the
-    drawn ones repeat a row or combine earlier rows, so the matrix is
-    singular; the row order is then shuffled."""
+def matrices(draw, square=False, quotients=False):
+    """(n, rows): 1-4 rows and columns over 1-2 variables, with true
+    quotients among the entries if asked.  Rows past the drawn ones repeat
+    a row or combine earlier rows, so the matrix is singular; the row
+    order is then shuffled."""
     n = draw(st.integers(1, 2))
     ncols = draw(st.integers(1, 4))
     nrows = ncols if square else draw(st.integers(1, 4))
     constants = draw(st.booleans())
     independent = draw(st.integers(1, nrows))
     rows = [
-        [draw(entries(n, constants)) for _ in range(ncols)] for _ in range(independent)
+        [draw(entries(n, constants, quotients)) for _ in range(ncols)]
+        for _ in range(independent)
     ]
     while len(rows) < nrows:
         if draw(st.booleans()):
@@ -89,10 +103,18 @@ def column(values):
 
 
 @settings(max_examples=50, deadline=None)
-@given(matrices())
+@given(st.booleans().flatmap(lambda quotients: matrices(quotients=quotients)))
 def test_rank_matches_sympy(drawn):
     n, rows = drawn
     assert linalg.rank(rows) == oracle(n, rows).rank()
+
+
+@settings(max_examples=50, deadline=None)
+@given(matrices(square=True))
+def test_determinant_matches_sympy(drawn):
+    n, rows = drawn
+    det = sympy.QQ.frac_field(*XS[:n]).from_sympy(to_sympy(linalg.determinant(rows)))
+    assert det == oracle(n, rows).det()
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omnilie import linalg
 from omnilie.errors import DegreeOverflow, DivisionByZero, IndexOutOfRange
 from omnilie.scalar import (
     MAX_DEGREE,
@@ -12,6 +14,7 @@ from omnilie.scalar import (
     derive,
     divexact,
     monomials_upto,
+    random_polynomial,
     random_scalar,
     sum_of_products,
 )
@@ -276,7 +279,26 @@ def test_counted_operations_match_the_recorded_counts(count_operations):
     counts = count_operations()
     cases = SUITES["jacobi"].runner(ctx)
     assert len(cases) == 5 and all(ok for _, ok, _ in cases)
-    assert counts == {"poly_mul": 159, "coeff_products": 9434, "gcd": 0}
+    assert counts == {"poly_mul": 44, "coeff_products": 9414, "gcd": 0}
+
+
+def test_quotient_rank_matches_the_recorded_counts(count_operations):
+    # The elimination divides no rational function; only the lcm of each
+    # row's denominators takes gcds.  Their count depends on the term order
+    # of the gcd's results, which no other counter guard reaches.  The
+    # matrix is 4x4 over Q(x1, x2): each entry a polynomial of degree <= 2
+    # over a non-constant one of degree 1.
+    rng = random.Random(1)
+
+    def denominator():
+        while (den := random_polynomial(2, rng, 1, 3)).num.is_constant():
+            pass
+        return den
+
+    rows = [[random_polynomial(2, rng, 2, 3) / denominator() for _ in range(4)] for _ in range(4)]
+    counts = count_operations()
+    assert linalg.rank(rows) == 4
+    assert counts == {"poly_mul": 284, "coeff_products": 446228, "gcd": 46}
 
 
 x1 = Scalar.variable(2, 1)

@@ -80,8 +80,8 @@ def test_negative_controls_report_witnesses():
 # labels of failing cases only, so its pins cannot catch a relabelled
 # case or a case drawn from other inputs; these can.
 RECORDED_RUNS = {
-    1: (134, "81785cd8332e7d9d3e9442f050fef613e30f26746b5d4a04115e7c86fa57c900", (1927, 52050, 34)),
-    2: (198, "7c413298031ca87440bda6012c15e83e54d002908547dc7620a7b0af9655813c", (6298, 132275, 0)),
+    1: (134, "81785cd8332e7d9d3e9442f050fef613e30f26746b5d4a04115e7c86fa57c900", (1476, 51823, 9)),
+    2: (198, "7c413298031ca87440bda6012c15e83e54d002908547dc7620a7b0af9655813c", (3232, 131088, 0)),
 }
 
 
