@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import gcd, lcm
 
 from .errors import DegreeOverflow, DivisionByZero, IndexOutOfRange
@@ -211,7 +211,8 @@ class Polynomial:
         return Polynomial._reduced(self.nvars, t, lc)
 
     def scale(self, c):
-        c = Fraction(c)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
         if not c:
             return Polynomial.zero(self.nvars)
         p = c.numerator
@@ -845,14 +846,23 @@ def sum_of_products(n, terms):
     return Scalar.zero(n) if total is None else total
 
 
+# Sums of at least this many coefficient products take the Kronecker path,
+# when their slot box is no larger than the sum.  Below about 128 products
+# encoding and decoding cost more than the dict loop saves.
+_KRONECKER_WORK = 256
+
+
 def _polynomial_sum_of_products(n, terms):
-    # The numerator of sum_of_products when every den is the shared unit.
-    # ``den`` is the lcm of the denominators seen so far; a product over a
-    # denominator that does not divide it rescales the sum in place.
+    # The numerator of sum_of_products when every den is the shared unit,
+    # over ``den``, the lcm of the denominators.  One pass collects the
+    # nonzero terms, ``den``, the largest degree ``top`` of a term and the
+    # count ``work`` of coefficient products; the sum is then added up in a
+    # dict of packed monomials, or for a large dense sum by _kronecker_sum.
     shift = n * _BITS
+    limit = (MAX_DEGREE + 1) << shift
     den = 1
-    acc = {}
-    get = acc.get
+    top = work = 0  # top: the largest packed key of a term
+    prods = []
     for sign, a, b in terms:
         p = a.num
         ta = p.terms
@@ -861,46 +871,111 @@ def _polynomial_sum_of_products(n, terms):
         if b is None:
             tb = None
             d = p.den
+            k = max(ta)
         else:
             q = b.num
             tb = q.terms
             if not tb:
                 continue
-            degree = (max(ta) + max(tb)) >> shift
-            if degree > MAX_DEGREE:
+            k = max(ta) + max(tb)
+            if k >= limit:
                 raise DegreeOverflow(
-                    f"product of total degree {degree} is above the limit {MAX_DEGREE}"
+                    f"product of total degree {k >> shift} is above the limit {MAX_DEGREE}"
                 )
             d = p.den * q.den
-        if d == den:
-            scale = sign
-        else:
-            if den % d:
-                r = d // gcd(den, d)
-                for m in acc:
-                    acc[m] *= r
-                den *= r
-            scale = sign * (den // d)
-        if tb is None:
-            for m, c in ta.items():
-                v = get(m, 0) + c * scale
-                if v:
-                    acc[m] = v
-                else:
-                    del acc[m]
-            continue
-        for m1, c1 in ta.items():
-            c1 *= scale
-            for m2, c2 in tb.items():
-                m = m1 + m2
-                v = get(m, 0) + c1 * c2
-                if v:
-                    acc[m] = v
-                else:
-                    del acc[m]
+            work += len(ta) * len(tb)
+        if k > top:
+            top = k
+        if d != den and den % d:
+            den *= d // gcd(den, d)
+        prods.append((sign, ta, tb, d))
+    top >>= shift
+    if work >= _KRONECKER_WORK and (top + 1) ** n <= work:
+        acc = _kronecker_sum(n, prods, den, top)
+    else:
+        acc = {}
+        get = acc.get
+        for sign, ta, tb, d in prods:
+            scale = sign if d == den else sign * (den // d)
+            if tb is None:
+                for m, c in ta.items():
+                    v = get(m, 0) + c * scale
+                    if v:
+                        acc[m] = v
+                    else:
+                        del acc[m]
+                continue
+            for m1, c1 in ta.items():
+                c1 *= scale
+                for m2, c2 in tb.items():
+                    m = m1 + m2
+                    v = get(m, 0) + c1 * c2
+                    if v:
+                        acc[m] = v
+                    else:
+                        del acc[m]
     if not acc:
         return _units(n)[0]
     return Polynomial._reduced(n, acc, den)
+
+
+def _kronecker_sum(n, prods, den, top):
+    """The dict of the nonzero terms of ``sum sign * (den / d) * ta * tb``
+    over ``prods`` (``tb`` None for 1), in ascending key order, by
+    Kronecker substitution.
+
+    A monomial of degree <= top goes to slot ``sum e_i (top + 1)^(n - i)``,
+    so a product of monomials goes to the sum of their slots, and each
+    polynomial becomes one integer with its coefficients at ``w`` bits per
+    slot.  The whole sum is then one big integer: one multiply per product,
+    read back once (Fateman 2010; Harvey, JSC 2009).  ``w`` holds a sign
+    bit and a bound on every output coefficient, so no slot overflows.
+    """
+    bound = 0
+    for _, ta, tb, d in prods:
+        c = (den // d) * max(map(abs, ta.values()))
+        if tb is not None:
+            c *= max(map(abs, tb.values())) * min(len(ta), len(tb))
+        bound += c
+    w = (bound.bit_length() + 8) & -8  # a sign bit, rounded up to whole bytes
+    offsets, bias, size = _kronecker_layout(n, top + 1, w)
+    total = 0
+    for sign, ta, tb, d in prods:
+        x = sum([c << offsets[m] for m, c in ta.items()])
+        if tb is not None:
+            x *= sum([c << offsets[m] for m, c in tb.items()])
+        total += (sign if d == den else sign * (den // d)) * x
+    # The bias lifts every slot by 2^(w-1) into 0..2^w - 1, so no slot
+    # borrows from the next one and each slot is read on its own.
+    data = (total + bias).to_bytes(size, "little")
+    step = w >> 3
+    half = 1 << (w - 1)
+    from_bytes = int.from_bytes
+    acc = {}
+    for m, off in offsets.items():
+        at = off >> 3
+        v = from_bytes(data[at : at + step], "little") - half
+        if v:
+            acc[m] = v
+    return acc
+
+
+@lru_cache(maxsize=64)
+def _kronecker_layout(n, base, w):
+    """Kronecker slots of the monomials of degree < base in n variables at
+    w bits per slot: the bit offset of each packed key, in ascending key
+    order, the bias of 2^(w-1) in each of the base^n slots, and the byte
+    size of the box."""
+    offsets = {}
+    for degree in range(base):
+        for mono in _monomials_of_degree(n, degree):
+            slot = 0
+            for e in mono:
+                slot = slot * base + e
+            offsets[_pack(n, mono)] = slot * w
+    box = base**n
+    bias = ((1 << (w * box)) - 1) // ((1 << w) - 1) << (w - 1)
+    return offsets, bias, box * w >> 3
 
 
 # ---------------------------------------------------------------------------
@@ -913,14 +988,24 @@ def derive(a, index):
     return a.derive(index)
 
 
+@cache
+def _packed_table(n, max_degree):
+    """The packed keys of ``_monomial_table(n, max_degree)``, in its order."""
+    return tuple(_pack(n, mono) for mono in _monomial_table(n, max_degree))
+
+
 def random_polynomial(n, rng, max_degree, coeff_bound):
-    """Random polynomial scalar drawn from an externally seeded RNG."""
+    """Random polynomial scalar drawn from an externally seeded RNG: one
+    integer coefficient in -coeff_bound..coeff_bound per monomial of
+    degree <= max_degree, in ascending graded-lex order."""
     terms = {}
-    for mono in _monomial_table(n, max_degree):
+    for key in _packed_table(n, max_degree):
         c = rng.randint(-coeff_bound, coeff_bound)
         if c:
-            terms[mono] = c
-    return Scalar(Polynomial(n, terms))
+            terms[key] = c
+    if not terms:
+        return Scalar.zero(n)
+    return Scalar._canonical(Polynomial._raw(n, terms), _units(n)[1])
 
 
 def random_scalar(n, seed, max_degree, coeff_bound):

@@ -1,10 +1,12 @@
 import random
+from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omnilie import linalg
+from omnilie import linalg, scalar
 from omnilie.errors import DegreeOverflow, DivisionByZero, IndexOutOfRange
 from omnilie.scalar import (
     MAX_DEGREE,
@@ -371,6 +373,119 @@ def test_sum_of_products_checks_the_degree_limit():
     with pytest.raises(DegreeOverflow):
         # the products cancel, but each is past the limit
         sum_of_products(2, [(1, high, y), (-1, high, y)])
+
+
+@contextmanager
+def kronecker_sums():
+    """Record the variable count of every sum that takes the Kronecker path."""
+    taken = []
+    kernel = scalar._kronecker_sum
+
+    def counted(*args):
+        taken.append(args[0])
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_kronecker_sum", counted)
+        yield taken
+
+
+@st.composite
+def dense_product_terms(draw):
+    """8-16 products of dense polynomials in 3 variables of degree <= 3,
+    with integer coefficients up to the scenario cap of 10^6 over drawn
+    denominators, up to 3 lone terms (b None), and terms repeated at the
+    other sign, all of them or some, so that the sum cancels in full or in
+    part.  Each factor has at least 8 terms, so a sum makes at least 512
+    coefficient products and its slot box holds at most 7^3 = 343 slots:
+    every draw takes the Kronecker path."""
+    coeff = st.builds(
+        Fraction,
+        st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
+        st.sampled_from([1, 1, 1, 2, 3, 7, 12]),
+    )
+    monos = st.sampled_from(monomials_upto(3, 3))
+    factor = st.dictionaries(monos, coeff, min_size=8, max_size=20).map(
+        lambda t: Scalar(Polynomial(3, t))
+    )
+    sign = st.sampled_from([1, -1])
+    terms = draw(st.lists(st.tuples(sign, factor, factor), min_size=8, max_size=16))
+    terms += draw(st.lists(st.tuples(sign, factor, st.none()), max_size=3))
+    some = st.lists(st.sampled_from(terms), max_size=len(terms))
+    cancelled = draw(st.one_of(st.just(list(terms)), some))
+    terms += [(-sign, a, b) for sign, a, b in cancelled]
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dense_product_terms())
+def test_kronecker_sums_match_the_loop_and_scalar_arithmetic(terms):
+    with kronecker_sums() as taken:
+        total = sum_of_products(3, terms)
+    assert taken == [3]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_KRONECKER_WORK", float("inf"))
+        looped = sum_of_products(3, terms)
+    assert total == looped == _left_to_right(3, terms)
+    assert total.den is _units(3)[1]
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32, 64])
+def test_kronecker_slots_hold_coefficients_at_their_bound(bits):
+    # 256 equal products c * x1 with c = 2^(bits - 9): the one coefficient
+    # of the sum is its bound 2^(bits - 1), whose bit length is a whole
+    # number of bytes, so the slot has no spare bit for the sign.
+    x = Scalar.variable(3, 1)
+    c = Scalar.from_fraction(3, 2 ** (bits - 9))
+    for sign in (1, -1):
+        with kronecker_sums() as taken:
+            assert sum_of_products(3, [(sign, c, x)] * 256) == x * (sign * 2 ** (bits - 1))
+        assert taken == [3]
+
+
+def test_dense_sums_take_the_kronecker_path_and_sparse_ones_do_not():
+    # Four products of 20-term factors, 1,600 coefficient products, of
+    # degree 6 either way: the box holds 7^3 = 343 slots at n = 3, but
+    # 7^8 at n = 8, where the 20 monomials are drawn from 165.
+    rng = random.Random(3)
+    coeffs = [c for c in range(-5, 6) if c]
+
+    def factor(n):
+        monos = rng.sample(monomials_upto(n, 3), 20)
+        return Scalar(Polynomial(n, {m: rng.choice(coeffs) for m in monos}))
+
+    for n in (3, 8):
+        terms = [(rng.choice([1, -1]), factor(n), factor(n)) for _ in range(4)]
+        with kronecker_sums() as taken:
+            total = sum_of_products(n, terms)
+        assert taken == ([3] if n == 3 else [])
+        assert total == _left_to_right(n, terms)
+
+
+def test_random_polynomial_draws_as_the_constructor_did():
+    # The same randint calls in the same order, and the same terms in the
+    # same insertion order, as building each draw through Polynomial().
+    for n, max_degree, bound in [(1, 0, 1), (2, 3, 5), (3, 2, 10**6), (3, 1, 0)]:
+        new, old = random.Random(n), random.Random(n)
+        for _ in range(20):
+            drawn = random_polynomial(n, new, max_degree, bound)
+            terms = {}
+            for mono in monomials_upto(n, max_degree):
+                c = old.randint(-bound, bound)
+                if c:
+                    terms[mono] = c
+            built = Scalar(Polynomial(n, terms))
+            assert drawn == built and list(drawn.num.terms) == list(built.num.terms)
+            assert drawn.den is _units(n)[1]
+        assert new.random() == old.random()
+
+
+def test_scale_takes_any_rational():
+    p = Polynomial(2, {(1, 0): 2, (0, 1): Fraction(1, 3)})
+    half = Polynomial(2, {(1, 0): 1, (0, 1): Fraction(1, 6)})
+    assert p.scale(Fraction(1, 2)) == p.scale(Decimal("0.5")) == p.scale(0.5) == half
+    assert p.scale(2) == p.scale(Fraction(2)) == p + p
+    assert p.scale(0).is_zero()
 
 
 def test_polynomial_scalars_share_one_unit_denominator():

@@ -155,6 +155,37 @@ def test_a_stream_checks_any_range_of_its_cases():
     assert len(draws) == 6
 
 
+def test_units_run_backwards_check_the_runner_inputs(monkeypatch):
+    # A passing row does not show which inputs it was checked on, so record
+    # the label and the printed inputs of every case that reaches
+    # check_cases.  A unit of a stream must redraw the cases before it, or
+    # it checks its identities on another case's draws.
+    from omnilie import sampling, suites
+
+    seen = []
+    check_cases = sampling.check_cases
+
+    def recorded(cases, checks, context=None, label="{name}[{case}]"):
+        cases = list(cases)
+        seen.extend((label, case, str(inputs)) for case, inputs in cases)
+        return check_cases(cases, checks, context, label)
+
+    monkeypatch.setattr(sampling, "check_cases", recorded)
+    monkeypatch.setattr(suites, "check_cases", recorded)
+    ctx = small_ctx()
+    for name, spec in sorted(SUITES.items()):
+        seen.clear()
+        spec.runner(ctx)
+        forwards = list(seen)
+        units = spec.units(ctx)
+        backwards = {}
+        for index in reversed(range(len(units))):
+            seen.clear()
+            units[index].run()
+            backwards[index] = list(seen)
+        assert [case for index in range(len(units)) for case in backwards[index]] == forwards, name
+
+
 def test_units_run_in_any_order_give_the_runner_rows():
     # Backwards, every unit of a stream redraws its stream from the start.
     ctx = small_ctx()
