@@ -69,6 +69,26 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def load_form(n, obj):
+    """The form that ``obj`` encodes over n variables, as scenarios and
+    ``omnilie primitive`` read it.  A malformed form, one past
+    MAX_FORM_TERMS coefficients and terms, or one of a degree outside
+    0..n+1 raises ScenarioError; the caller names the field."""
+    try:
+        form = serialize.form_from_obj(n, obj)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ScenarioError(exc) from exc
+    terms = len(form.coeffs) + sum(
+        len(v.num.terms) + len(v.den.terms) for v in form.coeffs.values()
+    )
+    _require(
+        terms <= MAX_FORM_TERMS,
+        f"{terms} coefficients and terms, above the limit {MAX_FORM_TERMS}",
+    )
+    _require(0 <= form.degree <= n + 1, f"degree {form.degree} outside 0..{n + 1}")
+    return form
+
+
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -132,21 +152,9 @@ def load_scenario(path):
             f"forms.{name}: unknown form (known: {', '.join(FORM_NAMES)})",
         )
         try:
-            form = serialize.form_from_obj(n, obj)
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            forms[name] = load_form(n, obj)
+        except ScenarioError as exc:
             raise ScenarioError(f"forms.{name}: {exc}") from exc
-        terms = len(form.coeffs) + sum(
-            len(v.num.terms) + len(v.den.terms) for v in form.coeffs.values()
-        )
-        _require(
-            terms <= MAX_FORM_TERMS,
-            f"forms.{name}: {terms} coefficients and terms, above the limit {MAX_FORM_TERMS}",
-        )
-        _require(
-            0 <= form.degree <= n + 1,
-            f"forms.{name}: degree {form.degree} outside 0..{n + 1}",
-        )
-        forms[name] = form
     needs = {SUITES[name].omega for name in suites} - {None}
     if "omega" in forms and needs:
         _require(
@@ -502,7 +510,7 @@ def cmd_primitive(args):
             raw = json.load(handle)
         n = raw["n"]
         _require(_is_int(n) and 1 <= n <= MAX_N, f"n: must be an integer in 1..{MAX_N}")
-        form = serialize.form_from_obj(n, raw)
+        form = load_form(n, raw)
     except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         print(f"input error: form: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ axioms on seeded random sections and reports witnesses on failure.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import OrderMismatch, TwistArityError
 from .gauge import Derivation, commutator, random_derivation
@@ -23,7 +24,7 @@ from .atiyah import (
     lie_derivative,
     random_form,
 )
-from .sampling import sample
+from .sampling import Family
 from .scalar import Scalar, random_polynomial
 
 
@@ -215,14 +216,16 @@ def _axiom_residuals(structure, e1, e2, e3, f):
     return res
 
 
-def lcourant_axioms(structure, samples, seed, max_degree=2, coeff_bound=3):
-    """Check the five axioms on seeded random triples; returns the deferred
-    stream of report rows (``sampling.Stream``).
+def lcourant_axioms(
+    structure, samples, seed, max_degree=2, coeff_bound=3, tag="lcourant-axioms", prefix=""
+):
+    """Check the five axioms on seeded random triples, as the
+    ``sampling.Family`` of seed tag ``tag`` whose labels start with ``prefix``.
 
     A failing row's witness carries the printed inputs and the residual.
     """
 
-    def draw(rng):
+    def draw(rng, case):
         e1, e2, e3 = (
             structure.random_section(rng, max_degree, coeff_bound) for _ in range(3)
         )
@@ -231,9 +234,8 @@ def lcourant_axioms(structure, samples, seed, max_degree=2, coeff_bound=3):
     def context(*inputs):
         return {"inputs": [str(x) for x in inputs]}
 
-    return sample(
-        samples, seed, draw, lambda *inputs: _axiom_residuals(structure, *inputs), context
-    )
+    checks = partial(_axiom_residuals, structure)
+    return Family(tag, samples, draw, checks, context, prefix + "{name}[{case}]", seed)
 
 
 class Connection:

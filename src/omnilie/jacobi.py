@@ -25,7 +25,7 @@ from .atiyah import (
 )
 from .dcourant import DSection
 from .observables import Subbundle, is_involutive
-from .sampling import CheckResult, sample
+from .sampling import CheckResult, Family
 from .scalar import Scalar, monomials_upto, Polynomial, random_polynomial, sum_of_products
 from . import linalg
 
@@ -245,14 +245,14 @@ def twisted_jet_bracket(J, omega, alpha, beta):
     )
 
 
-def jet_algebroid_residuals(J, omega, samples, seed, max_degree=1, coeff_bound=2):
+def jet_algebroid_residuals(J, omega, samples, seed, max_degree=1, coeff_bound=2, tag="jet"):
     """Skewness, Jacobi, module Leibniz and anchor morphism of the jet bracket."""
     n = J.n
 
     def bracket(a, b):
         return twisted_jet_bracket(J, omega, a, b)
 
-    def draw(rng):
+    def draw(rng, case):
         al, be, ga = (random_form(n, 1, rng, max_degree, coeff_bound) for _ in range(3))
         return al, be, ga, random_polynomial(n, rng, max_degree, coeff_bound)
 
@@ -270,7 +270,7 @@ def jet_algebroid_residuals(J, omega, samples, seed, max_degree=1, coeff_bound=2
             "anchor": commutator(sharp_al, sharp(J, be)) - sharp(J, ab),
         }
 
-    return sample(samples, seed, draw, checks)
+    return Family(tag, samples, draw, checks, seed=seed)
 
 
 def _sharp_matrix(J):

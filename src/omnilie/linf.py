@@ -47,7 +47,7 @@ from .observables import (
     random_hamiltonian,
     section_coordinates,
 )
-from .sampling import sample
+from .sampling import Family
 from .scalar import Scalar, random_polynomial
 from . import linalg
 
@@ -420,11 +420,11 @@ class RepHomotopyData:
         """(delta . phi)(alpha) for phi valued in maps 1-forms -> scalars."""
         return self.mu1(delta, phi_of(alpha)) - phi_of(self.mu0(delta, alpha))
 
-    def axiom_residuals(self, samples, seed, max_degree=1, coeff_bound=2):
+    def axiom_residuals(self, samples, seed, max_degree=1, coeff_bound=2, tag="rep-axioms"):
         """Residuals of the two action axioms and the cocycle condition."""
         n = self.n
 
-        def draw(rng):
+        def draw(rng, case):
             X, Y, Z = (random_derivation(n, rng, max_degree, coeff_bound) for _ in range(3))
             alpha = random_form(n, 1, rng, max_degree, coeff_bound)
             return X, Y, Z, alpha, random_polynomial(n, rng, max_degree, coeff_bound)
@@ -448,7 +448,7 @@ class RepHomotopyData:
                 "cocycle": cocycle,
             }
 
-        return sample(samples, seed, draw, checks)
+        return Family(tag, samples, draw, checks, seed=seed)
 
 
 def rep_homotopy_data(n):
@@ -571,7 +571,9 @@ def _payload(ge, space):
     return space.zero() if ge is None else ge.payload
 
 
-def morphism_residuals(phi, source, target, samples, seed, max_degree=1, coeff_bound=2):
+def morphism_residuals(
+    phi, source, target, samples, seed, max_degree=1, coeff_bound=2, tag="morphism"
+):
     """Residuals of the three morphism conditions plus chain and skewness."""
     graded = source.terms > 1
 
@@ -580,7 +582,7 @@ def morphism_residuals(phi, source, target, samples, seed, max_degree=1, coeff_b
             k, [GradedElement(d, pl) for pl, d in payload_degree_pairs]
         )
 
-    def draw(rng):
+    def draw(rng, case):
         x, y, z = (source.random_element(0, rng, max_degree, coeff_bound) for _ in range(3))
         h = (
             source.random_element(1, rng, max_degree, coeff_bound)
@@ -664,7 +666,7 @@ def morphism_residuals(phi, source, target, samples, seed, max_degree=1, coeff_b
             )
         return {"chain": chain, "phi2-skew": skew, "cond1": c1, "cond2": c2, "cond3": c3}
 
-    return sample(samples, seed, draw, checks)
+    return Family(tag, samples, draw, checks, seed=seed)
 
 
 def anchor_extension_algebra(b_form):

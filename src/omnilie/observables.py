@@ -23,7 +23,7 @@ from .atiyah import (
     random_form,
 )
 from .dcourant import DSection, dorfman, pairing
-from .sampling import CheckResult, sample
+from .sampling import CheckResult, Family
 from .scalar import random_polynomial
 from . import linalg
 
@@ -305,14 +305,14 @@ def useful_lemma_residual(hams):
     return lhs - rhs
 
 
-def induced_algebroid_residuals(xi, samples, seed, max_degree=1, coeff_bound=2):
+def induced_algebroid_residuals(xi, samples, seed, max_degree=1, coeff_bound=2, tag="algebroid"):
     """Restriction of the bracket to the subbundle is a Lie algebroid.
 
     Checks skewness, the Jacobi identity, the module Leibniz rule and
     closure of the bracket on seeded module combinations.
     """
 
-    def draw(rng):
+    def draw(rng, case):
         a, b, c = (xi.random_element(rng, max_degree, coeff_bound) for _ in range(3))
         return a, b, c, random_polynomial(xi.n, rng, max_degree, coeff_bound)
 
@@ -326,7 +326,7 @@ def induced_algebroid_residuals(xi, samples, seed, max_degree=1, coeff_bound=2):
             "closure": CheckResult(closed, "closure", None if closed else {"bracket": str(ab)}),
         }
 
-    return sample(samples, seed, draw, checks)
+    return Family(tag, samples, draw, checks, seed=seed)
 
 
 def random_hamiltonian(xi, rng, max_degree, coeff_bound):

@@ -1,16 +1,20 @@
 """Seeded sampling of identities, and the verdict of one check.
 
-Every sampled identity of the package, in the suites and in the layer
-helpers, runs through ``check_cases``: one loop over the cases, one zero
-test and one witness format.  The layer helpers return a ``Stream``,
-which checks its cases only when its rows are asked for, a range of
-cases at a time if need be.  This module imports no layer of the
+Every sampled identity of the package, in the suite tables and in the
+layer helpers, is a ``Family``: a case count, a draw and its checks,
+where case k is drawn from its own generator, seeded by
+``derive_seed(seed, tag, k)``.  A family checks its cases only when its
+rows are asked for, a range of cases at a time if need be, and every
+case runs through ``check_cases``: one loop over the cases, one zero
+test and one witness format.  This module imports no layer of the
 package, so every layer can use it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+from dataclasses import dataclass
 
 
 class CheckResult:
@@ -45,6 +49,13 @@ def outcome(label, value, context=None):
     return label, False, {**(context() if context else {}), "residual": str(value)}
 
 
+def derive_seed(master, *parts):
+    """A 64-bit seed from the master seed and the parts, stable across runs."""
+    text = ":".join([str(master)] + [str(p) for p in parts])
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def check_cases(cases, checks, context=None, label="{name}[{case}]"):
     """Rows of every named check on every case.
 
@@ -61,51 +72,34 @@ def check_cases(cases, checks, context=None, label="{name}[{case}]"):
     return out
 
 
-class Stream:
-    """``check_cases`` of ``count`` cases drawn in turn from one stream,
-    deferred until its rows are asked for.
+@dataclass(frozen=True)
+class Family:
+    """One seeded identity family: ``count`` cases, each drawn on its own.
 
-    ``draw(rng)`` returns one case's inputs from ``random.Random(seed)``,
-    so case k depends on the draws of cases 0..k-1.  ``rows(lo, hi)``
-    draws cases up to ``lo`` without checking them and checks cases
-    ``lo..hi-1`` only.  The stream keeps its generator after a range, so
-    ranges taken in increasing order draw every case once.  ``tag`` names
-    the stream in a case address, and ``label`` formats its row labels
-    as in ``check_cases``.  Iterating a stream runs all of it.
+    Case k draws its inputs with ``draw(rng, k)`` from
+    ``random.Random(derive_seed(seed, tag, k))``, so it depends on no
+    other case and any range of cases can run anywhere.
+    ``checks(*inputs)`` maps each check's name to a residual or a
+    CheckResult; the row label is ``label`` filled with the name and k.
+    ``context(*inputs)`` adds keys to the witness of a failing residual.
+    ``rows(lo, hi)`` checks cases ``lo..hi-1``; iterating a family runs
+    all of it.
     """
 
-    def __init__(self, count, seed, draw, checks, context=None, tag=None, label="{name}[{case}]"):
-        self.count = count
-        self.seed = seed
-        self.draw = draw
-        self.checks = checks
-        self.context = context
-        self.tag = tag
-        self.label = label
-        self._cursor = None  # (generator, next case) after the last range
+    tag: str
+    count: int
+    draw: object
+    checks: object
+    context: object = None
+    label: str = "{name}[{case}]"
+    seed: int = 0
 
-    def tagged(self, tag, prefix=""):
-        """The same stream with address tag ``tag`` and ``prefix`` before its labels."""
-        return Stream(
-            self.count, self.seed, self.draw, self.checks, self.context, tag, prefix + self.label
+    def rows(self, lo, hi):
+        cases = (
+            (case, self.draw(random.Random(derive_seed(self.seed, self.tag, case)), case))
+            for case in range(lo, hi)
         )
-
-    def rows(self, lo=0, hi=None):
-        hi = self.count if hi is None else hi
-        cursor, self._cursor = self._cursor, None
-        rng, case = cursor if cursor and cursor[1] <= lo else (random.Random(self.seed), 0)
-        for _ in range(case, lo):
-            self.draw(rng)
-        cases = ((case, self.draw(rng)) for case in range(lo, hi))
-        rows = check_cases(cases, self.checks, self.context, self.label)
-        # kept only when no draw or check raised in between two cases
-        self._cursor = (rng, hi)
-        return rows
+        return check_cases(cases, self.checks, self.context, self.label)
 
     def __iter__(self):
-        return iter(self.rows())
-
-
-def sample(samples, seed, draw, checks, context=None):
-    """The deferred ``Stream`` of ``samples`` cases drawn from ``random.Random(seed)``."""
-    return Stream(samples, seed, draw, checks, context)
+        return iter(self.rows(0, self.count))

@@ -3,16 +3,30 @@
 
 Term coefficients travel as integer strings so arbitrary precision
 survives the trip.  Output is always canonical; input tolerates
-non-canonical data (repeated monomials, reducible quotients) and
-normalizes on construction.
+non-canonical data (repeated monomials, reducible quotients, index
+lists in any order) and normalizes on construction.  Integers must be
+JSON integers (``num`` and ``den`` may also be decimal strings): a
+float, a bool or any other string is refused, never truncated.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .scalar import Polynomial, Scalar
 from .atiyah import INF, AtiyahForm
+
+
+def _integer(value, field, text=False):
+    """``value`` if it is a JSON integer or, with ``text``, the value of a
+    decimal integer string; anything else raises a ValueError naming
+    ``field``.  JSON true/false load as bools, which Python counts as ints."""
+    if text and isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{field}: expected an integer (got {value!r})")
 
 
 def polynomial_to_obj(poly):
@@ -31,13 +45,13 @@ def polynomial_to_obj(poly):
 def polynomial_from_obj(n, obj):
     terms = {}
     for item in obj:
-        exps = tuple(int(e) for e in item["exps"])
+        exps = tuple(_integer(e, "exps") for e in item["exps"])
         if len(exps) != n:
             raise ValueError(f"term with {len(exps)} exponents in a {n}-variable model")
-        den = int(item.get("den", 1))
+        den = _integer(item.get("den", 1), "den", text=True)
         if den == 0:
             raise ValueError(f"term with exps {list(exps)} has a zero denominator")
-        c = Fraction(int(item["num"]), den)
+        c = Fraction(_integer(item["num"], "num", text=True), den)
         terms[exps] = terms.get(exps, Fraction(0)) + c
     return Polynomial(n, terms)
 
@@ -62,16 +76,21 @@ def _key_to_labels(n, key):
 
 
 def _labels_to_key(n, labels):
+    """The index set of ``labels`` in increasing order, and the sign of
+    the permutation that sorts them."""
     out = []
     for item in labels:
         if item == INF:
             out.append(n)
         else:
-            idx = int(item)
+            idx = _integer(item, "indices")
             if not 1 <= idx <= n:
-                raise ValueError(f"index {item} outside 1..{n}")
+                raise ValueError(f"indices: {item} outside 1..{n}")
             out.append(idx - 1)
-    return tuple(sorted(out))
+    if len(set(out)) < len(out):
+        raise ValueError(f"indices: {labels} repeats an index")
+    inversions = sum(a > b for i, a in enumerate(out) for b in out[i + 1 :])
+    return tuple(sorted(out)), (-1) ** inversions
 
 
 def form_to_obj(form):
@@ -88,11 +107,13 @@ def form_to_obj(form):
 
 
 def form_from_obj(n, obj):
-    degree = int(obj["degree"])
+    degree = _integer(obj["degree"], "degree")
     coeffs = {}
     for item in obj.get("coeffs", []):
-        key = _labels_to_key(n, item["indices"])
+        key, sign = _labels_to_key(n, item["indices"])
         value = scalar_from_obj(n, item["value"])
+        if sign < 0:
+            value = -value
         if key in coeffs:
             value = coeffs[key] + value
         coeffs[key] = value

@@ -2,9 +2,9 @@
 
 Each suite is a table: a function of the context (model size, sample
 count, master seed, generator bounds, optional named forms) that returns
-its items in report order.  A ``Family`` names a seed tag, a case count,
-a draw and its checks, and seeds each case on its own; a
-``sampling.Stream`` draws its cases in turn from one seed; a ``Row`` is
+its items in report order.  A ``sampling.Family`` is one seeded
+identity family, built by the table or by a layer helper such as
+``lcourant_axioms`` from the master seed and a seed tag; a ``Row`` is
 one fixed check.  Building a table computes no row: ``table_units``
 turns it into the suite's units, each with an address (suite, tag and
 case range) and a ``run()`` that returns the rows
@@ -17,14 +17,15 @@ the expected failure is detected.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 
 from .errors import NonInvertible
-from .sampling import CheckResult, check_cases, outcome
+# check_cases is re-exported with the rest of the case API: callers reach
+# it as suites.check_cases
+from .sampling import CheckResult, Family, check_cases, derive_seed, outcome
 from .scalar import Scalar, Polynomial, monomials_upto, random_polynomial
 from .gauge import Derivation, commutator, random_derivation
 from .atiyah import (
@@ -106,39 +107,6 @@ class SuiteContext:
     sabotage: str | None = None
 
 
-def derive_seed(master, *parts):
-    text = ":".join([str(master)] + [str(p) for p in parts])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def _rng(ctx, *parts):
-    return random.Random(derive_seed(ctx.seed, *parts))
-
-
-@dataclass(frozen=True)
-class Family:
-    """One identity family of a suite table.
-
-    Case k draws its inputs with ``draw(rng, k)`` from its own stream,
-    seeded by ``derive_seed(seed, tag, k)``.  ``checks(*inputs)`` maps
-    each check's name to a residual or a CheckResult; the row label is
-    ``label`` filled with the name and k.  ``context(*inputs)`` adds
-    keys to the witness of a failing residual.
-    """
-
-    tag: str
-    count: int
-    draw: object
-    checks: object
-    context: object = None
-    label: str = "{name}[{case}]"
-
-    def rows(self, ctx, lo, hi):
-        cases = ((case, self.draw(_rng(ctx, self.tag, case), case)) for case in range(lo, hi))
-        return check_cases(cases, self.checks, self.context, self.label)
-
-
 @dataclass(frozen=True)
 class Row:
     """One fixed row of a suite table: ``value()`` returns its residual or
@@ -153,8 +121,8 @@ class Row:
 
 @dataclass(frozen=True)
 class Unit:
-    """The unit of scheduling: the cases ``lo..hi-1`` of the family, stream
-    or row ``tag`` of a suite.  ``run()`` returns their rows."""
+    """The unit of scheduling: the cases ``lo..hi-1`` of the family or row
+    ``tag`` of a suite.  ``run()`` returns their rows."""
 
     suite: str
     tag: str
@@ -165,15 +133,14 @@ class Unit:
 
 def table_units(suite, table, ctx):
     """The units of a suite table in report order: one per case of each
-    family and stream, one per fixed row."""
+    family, one per fixed row."""
     units = []
     for item in table(ctx):
         if isinstance(item, Row):
             units.append(Unit(suite, item.label, 0, 1, item.rows))
             continue
-        rows = partial(item.rows, ctx) if isinstance(item, Family) else item.rows
         units += [
-            Unit(suite, item.tag, case, case + 1, partial(rows, case, case + 1))
+            Unit(suite, item.tag, case, case + 1, partial(item.rows, case, case + 1))
             for case in range(item.count)
         ]
     return units
@@ -227,23 +194,19 @@ def atiyah_calculus(ctx):
         out["jet-injectivity"] = contract(unit, differential(s)).scalar() - s
         return out
 
-    return [Family("atiyah", ctx.samples, draw, checks)]
+    return [Family("atiyah", ctx.samples, draw, checks, seed=ctx.seed)]
 
 
 def lcourant_axioms_suite(ctx):
     def axioms(name, structure, tag):
-        stream = lcourant_axioms(
-            structure, ctx.samples, derive_seed(ctx.seed, tag), ctx.max_degree, ctx.coeff_bound
-        )
-        return stream.tagged(tag, f"{name}:")
+        bounds = (ctx.max_degree, ctx.coeff_bound)
+        return lcourant_axioms(structure, ctx.samples, ctx.seed, *bounds, tag, f"{name}:")
 
     def control():
         # negative control with its own three-variable model: a non-closed
         # twist must break the first axiom with a witness
         bad = AtiyahForm(3, 3, {(0, 1, 3): Scalar.variable(3, 3)})
-        rows = lcourant_axioms(
-            LCourantStructure.twisted(bad), 6, derive_seed(ctx.seed, "lc-bad"), 1, 2
-        )
+        rows = lcourant_axioms(LCourantStructure.twisted(bad), 6, ctx.seed, 1, 2, "lc-bad")
         failures = [w for label, ok, w in rows if label.startswith("LC1") and not ok]
         return CheckResult(
             bool(failures), "nonclosed-twist-detected", {"error": "no LC1 failure found"}
@@ -289,6 +252,7 @@ def _oracle_families(ctx, structure, tag):
             draw,
             lambda *inputs: {f"{tag}:n{size}": jacobi_residual(structure, list(inputs))},
             context,
+            seed=ctx.seed,
         )
 
     return [family(size) for size in range(1, min(4, structure.arity + 1) + 1)]
@@ -348,11 +312,12 @@ def semidirect_agreement(ctx):
     return [
         data.axiom_residuals(
             max(3, ctx.samples // 5),
-            derive_seed(ctx.seed, "rep-axioms"),
+            ctx.seed,
             min(ctx.max_degree, 1),
             ctx.coeff_bound,
-        ).tagged("rep-axioms"),
-        Family("semidirect", ctx.samples, draw, checks),
+            "rep-axioms",
+        ),
+        Family("semidirect", ctx.samples, draw, checks, seed=ctx.seed),
     ]
 
 
@@ -378,9 +343,8 @@ def _injectivity(label, basis, fn, coordinates, n):
 
 def morphism_3_9(ctx):
     n = ctx.n
-    b_closed = differential(
-        random_form(n, 1, _rng(ctx, "m39", "form"), ctx.max_degree, ctx.coeff_bound)
-    )
+    rng = random.Random(derive_seed(ctx.seed, "m39", "form"))
+    b_closed = differential(random_form(n, 1, rng, ctx.max_degree, ctx.coeff_bound))
     domain = anchor_extension_algebra(b_closed)
     morphism = prolongation_morphism(b_closed)
 
@@ -403,16 +367,18 @@ def morphism_3_9(ctx):
             domain,
             build_two_term(LCourantStructure.omni(n)),
             ctx.samples,
-            derive_seed(ctx.seed, "m39-res"),
+            ctx.seed,
             min(ctx.max_degree, 1),
             ctx.coeff_bound,
-        ).tagged("m39-res"),
+            "m39-res",
+        ),
         # the domain bracket is a Lie algebra bracket for a closed shift
         Family(
             "m39-lie",
             max(3, ctx.samples // 10),
             draw,
             lambda *tup: {"domain-jacobi": jacobi_residual(domain, list(tup))},
+            seed=ctx.seed,
         ),
         _injectivity("phi0-injective", basis, morphism.phi0, section_coordinates, n),
     ]
@@ -473,11 +439,12 @@ def morphism_5_9(ctx):
             build_graph_linf(omega),
             build_two_term(LCourantStructure.twisted(omega)),
             ctx.samples,
-            derive_seed(ctx.seed, "m59-res"),
+            ctx.seed,
             min(ctx.max_degree, 2),
             ctx.coeff_bound,
-        ).tagged("m59-res"),
-        Family("m59-eqs", ctx.samples, draw, checks),
+            "m59-res",
+        ),
+        Family("m59-eqs", ctx.samples, draw, checks, seed=ctx.seed),
         _injectivity("phi0-injective", forms_basis, morphism.phi0, section_coordinates, n),
         _injectivity(
             "phi1-injective", partial(monomial_scalars, n, 2), morphism.phi1, lambda s: [s], n
@@ -502,13 +469,10 @@ def cohomologous_iso_suite(ctx):
         target = build_two_term(
             LCourantStructure.twisted(omega + differential(b_form))
         )
-        seed = derive_seed(ctx.seed, "coho-res", case)
-        out = {
-            label: CheckResult(ok, label, witness)
-            for label, ok, witness in morphism_residuals(
-                morphism, source, target, 3, seed, 1, ctx.coeff_bound
-            )
-        }
+        residuals = morphism_residuals(
+            morphism, source, target, 3, ctx.seed, 1, ctx.coeff_bound, f"coho-res:{case}"
+        )
+        out = {label: CheckResult(ok, label, witness) for label, ok, witness in residuals}
         det = linalg.determinant(section_map_matrix(morphism.phi0, n, 1))
         out["invertible"] = CheckResult(
             not det.is_zero(), "invertible", {"determinant": str(det)}
@@ -518,7 +482,9 @@ def cohomologous_iso_suite(ctx):
         return out
 
     return [
-        Family("coho", max(1, ctx.samples // 5), draw, checks, label="case{case}:{name}")
+        Family(
+            "coho", max(1, ctx.samples // 5), draw, checks, label="case{case}:{name}", seed=ctx.seed
+        )
     ]
 
 
@@ -543,7 +509,7 @@ def exact_curvature(ctx):
     return [
         Row("zero-splitting-curvature", lambda: flat() - omega),
         Row("curvature-closed", lambda: differential(flat())),
-        Family("curv", ctx.samples, draw, checks),
+        Family("curv", ctx.samples, draw, checks, seed=ctx.seed),
     ]
 
 
@@ -604,10 +570,8 @@ def observables(ctx):
             "graph-involutive",
             lambda: is_involutive(xi, samples=3, seed=derive_seed(ctx.seed, "obs-inv")),
         ),
-        Family("obs", ctx.samples, draw, checks),
-        induced_algebroid_residuals(
-            xi, max(3, ctx.samples // 10), derive_seed(ctx.seed, "obs-alg")
-        ).tagged("obs-alg"),
+        Family("obs", ctx.samples, draw, checks, seed=ctx.seed),
+        induced_algebroid_residuals(xi, max(3, ctx.samples // 10), ctx.seed, tag="obs-alg"),
     ]
     if linalg.rank(xi._form_matrix()) == n + 1:
         table.append(Row("ambiguity-empty", ambiguity_empty))
@@ -640,7 +604,7 @@ def observables(ctx):
                 {"error": "expected a nonzero ambiguity basis"},
             ),
         ),
-        Family("obs-fix", max(3, ctx.samples // 5), draw_fixture, fixture_checks),
+        Family("obs-fix", max(3, ctx.samples // 5), draw_fixture, fixture_checks, seed=ctx.seed),
     ]
 
 
@@ -659,7 +623,7 @@ def useful_lemma(ctx):
             "four-forms": useful_lemma_residual(hams),
         }
 
-    return [Family("useful", ctx.samples, draw, checks)]
+    return [Family("useful", ctx.samples, draw, checks, seed=ctx.seed)]
 
 
 def dg_leibniz(ctx):
@@ -683,7 +647,7 @@ def dg_leibniz(ctx):
             out["positive-degree-vanishes"] = structure.bracket(hi, b)
         return out
 
-    return [Family("dgl", ctx.samples, draw, checks)]
+    return [Family("dgl", ctx.samples, draw, checks, seed=ctx.seed)]
 
 
 def _random_biderivation(n, rng, coeff_bound):
@@ -724,7 +688,7 @@ def jacobi(ctx):
         return CheckResult(value == -1, "contact-bracket-value", {"got": str(value)})
 
     return [
-        Family("jacobi", ctx.samples, draw, checks),
+        Family("jacobi", ctx.samples, draw, checks, seed=ctx.seed),
         Row("contact-bracket-value", contact_value),
         Row(
             "contact-is-jacobi",
@@ -756,7 +720,7 @@ def twisted_jacobi(ctx):
             )
         }
 
-    table = [Family("twj", max(2, ctx.samples // 5), draw, checks)]
+    table = [Family("twj", max(2, ctx.samples // 5), draw, checks, seed=ctx.seed)]
     if n >= 2:
         # a genuinely twisted structure: gauge a product bracket by a
         # non-closed 2-form and twist by its differential
@@ -772,8 +736,8 @@ def twisted_jacobi(ctx):
         twist = AtiyahForm.zero(1, 3)
     table.append(
         jet_algebroid_residuals(
-            twisted, twist, max(2, ctx.samples // 10), derive_seed(ctx.seed, "twj-jet")
-        ).tagged("twj-jet")
+            twisted, twist, max(2, ctx.samples // 10), ctx.seed, tag="twj-jet"
+        )
     )
 
     def spanning_twist_detected():
@@ -849,8 +813,8 @@ def gauge(ctx):
         return CheckResult(False, label, {"error": "expected the gauge move to be singular"})
 
     return [
-        Family("gauge", ctx.samples, draw, checks),
-        Family("gauge-tau", max(2, ctx.samples // 5), draw_tau, tau_checks),
+        Family("gauge", ctx.samples, draw, checks, seed=ctx.seed),
+        Family("gauge-tau", max(2, ctx.samples // 5), draw_tau, tau_checks, seed=ctx.seed),
         Row("noninvertible-witness", noninvertible_witness),
     ]
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -563,6 +564,90 @@ def test_verify_rejects_boolean_integers(tmp_path, capsys, field):
     assert f"input error: {field}:" in capsys.readouterr().err
 
 
+# A field of the twist [1, 2, inf] -> 1 that int() would truncate or
+# accept, but that is neither a JSON integer nor, for num and den, a
+# decimal integer string.
+_NON_INTEGERS = [
+    ("num", {"num": 1.5}),
+    ("num", {"num": True}),
+    ("num", {"num": "1.5"}),
+    ("num", {"num": " 1"}),
+    ("den", {"den": 2.5}),
+    ("den", {"den": "x"}),
+    ("exps", {"exps": [1.5, 0]}),
+    ("exps", {"exps": [True, 0]}),
+    ("degree", {"degree": "3"}),
+    ("degree", {"degree": 3.0}),
+    ("indices", {"indices": [True, 2, "inf"]}),
+    ("indices", {"indices": [1.0, 2, "inf"]}),
+]
+
+
+def _twist_with(change):
+    term = {"num": "1", "den": "1", "exps": [0, 0]}
+    term.update({k: v for k, v in change.items() if k in term})
+    twist = _twist_obj({"numerator": [term]})
+    twist.update({k: v for k, v in change.items() if k == "degree"})
+    twist["coeffs"][0].update({k: v for k, v in change.items() if k == "indices"})
+    return twist
+
+
+@pytest.mark.parametrize("field, change", _NON_INTEGERS)
+def test_verify_rejects_non_integer_form_fields(tmp_path, capsys, field, change):
+    scenario = write_scenario(tmp_path, forms={"omega": _twist_with(change)})
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"input error: forms.omega: {field}: ")
+
+
+@pytest.mark.parametrize("field, change", _NON_INTEGERS)
+def test_primitive_rejects_non_integer_form_fields(tmp_path, capsys, field, change):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": 2, **_twist_with(change)}), encoding="utf-8")
+    assert main(["primitive", "--form", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: form: {field}: ")
+    assert captured.out == ""
+
+
+def _primitive_of(tmp_path, capsys, form):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps(form), encoding="utf-8")
+    rc = main(["primitive", "--form", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    return serialize.form_from_obj(form["n"], json.loads(captured.out))
+
+
+def test_integer_strings_and_integers_load_alike(tmp_path, capsys):
+    a = _primitive_of(tmp_path, capsys, {"n": 2, **_twist_with({"num": "-2", "den": "3"})})
+    b = _primitive_of(tmp_path, capsys, {"n": 2, **_twist_with({"num": -2, "den": 3})})
+    assert a == b == AtiyahForm.basis(2, (0, 1)).scale(Fraction(-2, 3))
+
+
+def test_unsorted_indices_carry_the_sign_of_their_permutation(tmp_path, capsys):
+    # [2, 1, inf] -> 1 is the form -e(1,2,inf), so its primitive is -e(1,2)
+    sorted_ = _primitive_of(tmp_path, capsys, {"n": 2, **_twist_with({})})
+    for indices, sign in [([2, 1, "inf"], -1), (["inf", 1, 2], 1), ([1, "inf", 2], -1)]:
+        form = {"n": 2, **_twist_with({"indices": indices})}
+        assert _primitive_of(tmp_path, capsys, form) == sorted_.scale(sign), indices
+    assert sorted_ == AtiyahForm.basis(2, (0, 1))
+
+
+@pytest.mark.parametrize("command", ["verify", "primitive"])
+def test_repeated_indices_exit_two(tmp_path, capsys, command):
+    twist = _twist_with({"indices": [1, 1, "inf"]})
+    if command == "verify":
+        path = write_scenario(tmp_path, forms={"omega": twist})
+        argv = ["verify", "--scenario", str(path), "--report", str(tmp_path / "r.json")]
+    else:
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"n": 2, **twist}), encoding="utf-8")
+        argv = ["primitive", "--form", str(path)]
+    assert main(argv) == 2
+    assert "indices: [1, 1, 'inf'] repeats an index" in capsys.readouterr().err
+
+
 def _size_overrides(past):
     """Scenario fields at their size caps, or one past them.  The form
     counts its one coefficient, the distinct terms of the numerator and
@@ -595,11 +680,32 @@ def test_scenarios_at_the_size_caps_load(tmp_path, overrides, needle):
     assert (ctx.n, ctx.samples) == (overrides.get("n", 2), overrides.get("samples", 3))
 
 
+@pytest.mark.parametrize(
+    "form, needle",
+    [
+        (
+            _form_with_scalar(
+                {"numerator": [_term([k % 64, k // 64]) for k in range(MAX_FORM_TERMS - 1)]}
+            ),
+            f"{MAX_FORM_TERMS + 1} coefficients and terms, above the limit {MAX_FORM_TERMS}",
+        ),
+        ({"degree": 4, "coeffs": []}, "degree 4 outside 0..3"),
+    ],
+    ids=["terms", "degree"],
+)
+def test_primitive_applies_the_scenario_form_caps(tmp_path, capsys, form, needle):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"n": 2, **form}), encoding="utf-8")
+    assert main(["primitive", "--form", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: form: {needle}\n"
+
+
 
 # The exit contract: 0 pass, 1 an identity failed, 2 malformed input; 3 is
-# a fault of the program.  The fuzz test below mutates one of two small
+# a fault of the program.  The fuzz tests below mutate one of two small
 # valid scenarios: cheap suites at n = 1, one sample, and two named
-# 2-forms; or cheap graph suites at n = 2 with a quotient twist.
+# 2-forms; or cheap graph suites at n = 2 with a quotient twist.  For
+# ``omnilie primitive`` they mutate one of two closed forms.
 _FUZZ_BASE = {
     "n": 1,
     "suites": ["exact-curvature", "cohomologous-iso", "jacobi"],
@@ -628,6 +734,15 @@ _FUZZ_BASES = [
         "max_degree": 1,
         "coeff_bound": 2,
         "forms": {"omega": _twist_obj(_QUOTIENT)},
+    },
+]
+
+_FUZZ_FORMS = [
+    {"n": 2, **_twist_obj(_QUOTIENT)},
+    {
+        "n": 1,
+        "degree": 2,
+        "coeffs": [{"indices": ["inf", 1], "value": {"numerator": [_term([1], num="-3")]}}],
     },
 ]
 
@@ -670,11 +785,11 @@ def _paths(doc, prefix=()):
 
 
 @st.composite
-def _mutated_scenarios(draw):
-    """A base scenario after one or two mutations: drop a key or item,
-    replace a value (other types, out-of-range or huge integers, garbled
-    names), or add an unknown key or item."""
-    doc = copy.deepcopy(draw(st.sampled_from(_FUZZ_BASES)))
+def _mutated_scenarios(draw, bases=_FUZZ_BASES):
+    """A base scenario (or form file) after one or two mutations: drop a
+    key or item, replace a value (other types, out-of-range or huge
+    integers, garbled names), or add an unknown key or item."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
         path = draw(st.sampled_from(list(_paths(doc))))
         action = draw(st.sampled_from(["drop", "replace", "add"]))
@@ -696,14 +811,18 @@ def _mutated_scenarios(draw):
     return doc
 
 
-def _assert_exit_contract(doc):
+def _assert_exit_contract(doc, command="verify"):
     text = json.dumps(doc).replace(json.dumps(_HUGE), "9" * 5000)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        scenario = Path(tmp) / "scenario.json"
-        scenario.write_text(text, encoding="utf-8")
+        path = Path(tmp) / "input.json"
+        path.write_text(text, encoding="utf-8")
+        argv = {
+            "verify": ["verify", "--scenario", str(path), "--report", str(Path(tmp) / "r.json")],
+            "primitive": ["primitive", "--form", str(path)],
+        }[command]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(["verify", "--scenario", str(scenario), "--report", str(Path(tmp) / "r.json")])
+            rc = main(argv)
     shown = out.getvalue() + err.getvalue()
     assert rc in (0, 1, 2), (rc, text, shown)
     assert "Traceback" not in shown and "internal error" not in shown, (text, shown)
@@ -723,6 +842,20 @@ def test_the_fuzzed_base_scenario_passes(tmp_path):
 @example(dict(_FUZZ_BASES[1], suites=["dg-leibniz", "exact-curvature", "morphism-5-9"]))
 def test_mutated_scenarios_keep_the_exit_contract(doc):
     _assert_exit_contract(doc)
+
+
+def test_the_fuzzed_base_forms_have_a_primitive(tmp_path, capsys):
+    for base in _FUZZ_FORMS:
+        _primitive_of(tmp_path, capsys, base)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutated_scenarios(bases=_FUZZ_FORMS))
+# labels out of order, and a repeated label
+@example(dict(_FUZZ_FORMS[0], coeffs=[dict(_FUZZ_FORMS[0]["coeffs"][0], indices=[2, 1, "inf"])]))
+@example(dict(_FUZZ_FORMS[1], coeffs=[dict(_FUZZ_FORMS[1]["coeffs"][0], indices=[1, 1])]))
+def test_mutated_form_files_keep_the_exit_contract(doc):
+    _assert_exit_contract(doc, "primitive")
 
 
 @pytest.mark.parametrize(

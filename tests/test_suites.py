@@ -80,8 +80,8 @@ def test_negative_controls_report_witnesses():
 # labels of failing cases only, so its pins cannot catch a relabelled
 # case or a case drawn from other inputs; these can.
 RECORDED_RUNS = {
-    1: (134, "81785cd8332e7d9d3e9442f050fef613e30f26746b5d4a04115e7c86fa57c900", (1476, 51823, 9)),
-    2: (198, "7c413298031ca87440bda6012c15e83e54d002908547dc7620a7b0af9655813c", (3232, 131088, 0)),
+    1: (134, "81785cd8332e7d9d3e9442f050fef613e30f26746b5d4a04115e7c86fa57c900", (1492, 53774, 9)),
+    2: (198, "7c413298031ca87440bda6012c15e83e54d002908547dc7620a7b0af9655813c", (3229, 131762, 0)),
 }
 
 
@@ -130,29 +130,40 @@ def test_one_zero_test_and_one_witness_format():
     assert shown == [x, x]
 
 
-def test_a_stream_checks_any_range_of_its_cases():
-    from omnilie.sampling import CheckResult, sample
+def test_a_family_checks_any_range_of_its_cases_from_their_own_draws():
+    from omnilie.sampling import CheckResult, Family
 
     draws = []
 
-    def draw(rng):
-        draws.append(1)
+    def draw(rng, case):
+        draws.append(case)
         return (rng.randrange(1000),)
 
-    def stream():
-        return sample(6, 3, draw, lambda v: {"even": CheckResult(v % 2 == 0, "even", {"v": v})})
+    family = Family(
+        "t", 6, draw, lambda v: {"even": CheckResult(v % 2 == 0, "even", {"v": v})}, seed=3
+    )
+    whole = list(family)
+    assert len(whole) == 6 and draws == list(range(6))
+    # case k alone, in any order, is row k of the whole run
+    for k in reversed(range(6)):
+        assert family.rows(k, k + 1) == whole[k : k + 1]
+    # a range draws its own cases and no other
+    for lo, hi in [(0, 6), (4, 6), (2, 3), (5, 5)]:
+        draws.clear()
+        assert family.rows(lo, hi) == whole[lo:hi]
+        assert draws == list(range(lo, hi))
 
-    whole = list(stream())
-    assert len(whole) == 6 and len(draws) == 6
-    # a later range redraws the cases before it without checking them
-    draws.clear()
-    assert stream().rows(4, 6) == whole[4:]
-    assert len(draws) == 6
-    # ranges taken in increasing order draw every case once
-    draws.clear()
-    ordered = stream()
-    assert [row for k in range(6) for row in ordered.rows(k, k + 1)] == whole
-    assert len(draws) == 6
+
+def test_every_family_of_a_table_is_seeded_by_the_master_seed():
+    # a family left at its default seed would draw the same cases whatever
+    # the scenario's seed, and every hash would still pass
+    from omnilie.sampling import Family
+
+    for seed in (5, 6):
+        ctx = small_ctx(seed=seed)
+        for name, spec in sorted(SUITES.items()):
+            families = [item for item in spec.table(ctx) if isinstance(item, Family)]
+            assert families and all(f.seed == seed for f in families), name
 
 
 def test_units_run_backwards_check_the_runner_inputs(monkeypatch):
