@@ -20,12 +20,13 @@ from .atiyah import (
     as_form,
     contract,
     differential,
+    evaluate,
     index_subsets,
     lie_derivative,
     random_form,
 )
 from .sampling import Family
-from .scalar import Scalar, random_polynomial
+from .scalar import Scalar, random_polynomial, sum_of_products
 
 
 class DSection:
@@ -181,11 +182,28 @@ class LCourantStructure:
         return script_D(s)
 
     def trilinear(self, e1, e2, e3):
-        """The scalar one-sixth cyclic pairing of skew brackets."""
-        total = Scalar.zero(self.n)
+        """The scalar T = 1/6 sum_cyc <[e1, e2]_C, e3>, in closed form.
+
+        With Di the anchors, ai the forms and fij = ai(Dj), expanding the
+        skew bracket by (L_X a)(Y) = X a(Y) - a([X, Y]) and
+        da(X, Y) = X a(Y) - Y a(X) - a([X, Y]) gives
+
+            T = 1/4 sum_cyc D1(f23 - f32) + 1/2 sum_cyc a1([D2, D3])
+                - 1/2 H(D1, D2, D3)
+
+        for any twist H, closed or not, so no bracket, Lie derivative or
+        differential is built.
+        """
+        flows, brackets = [], Scalar.zero(self.n)
         for a, b, c in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
-            total = total + pairing(self.skew_bracket(a, b), c).scalar()
-        return total * Fraction(1, 6)
+            f = contract(c.der, b.form).scalar() - contract(b.der, c.form).scalar()
+            flows += a.der.apply_terms(f)
+            if not a.form.is_zero():
+                brackets = brackets + contract(commutator(b.der, c.der), a.form).scalar()
+        total = sum_of_products(self.n, flows) * Fraction(1, 4) + brackets * Fraction(1, 2)
+        if self.twist is not None:
+            total = total - evaluate(self.twist, e1.der, e2.der, e3.der) * Fraction(1, 2)
+        return total
 
     def random_section(self, rng, max_degree, coeff_bound):
         return random_section(self.n, 1, rng, max_degree, coeff_bound)

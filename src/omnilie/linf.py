@@ -34,7 +34,6 @@ from .atiyah import (
 from .dcourant import (
     DSection,
     LCourantStructure,
-    pairing,
     random_section,
     script_D,
 )
@@ -322,7 +321,8 @@ def jacobi_residual(structure, elems):
 
 
 def _pair_with_coboundary(structure, e, s):
-    return pairing(e, structure.coboundary(s)).scalar() * HALF
+    # <e, (0, ds)> = ds(D) = D(s) for the anchor D of e
+    return structure.anchor(e).apply(s) * HALF
 
 
 def build_two_term(structure):

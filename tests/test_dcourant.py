@@ -19,7 +19,7 @@ from omnilie.dcourant import (
     random_section,
     script_D,
 )
-from omnilie.scalar import Scalar
+from omnilie.scalar import Scalar, random_polynomial
 
 
 def test_pairing_examples():
@@ -184,6 +184,57 @@ def test_axiom_checker_catches_nonclosed_twist():
     assert any(label.startswith("LC1") for label in failed)
     witnesses = [w for label, ok, w in entries if not ok and w]
     assert witnesses and "residual" in witnesses[0]
+
+
+def _cyclic_pairing(structure, e1, e2, e3):
+    # the definition of the 3-bracket scalar, kept as the oracle of trilinear
+    total = Scalar.zero(structure.n)
+    for a, b, c in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+        total = total + pairing(courant(a, b, structure.twist), c).scalar()
+    return total * Fraction(1, 6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_trilinear_closed_form_is_the_cyclic_pairing_of_skew_brackets(n):
+    structures = [LCourantStructure.omni(n)]
+    if n >= 2:
+        structures.append(LCourantStructure.twisted(AtiyahForm.basis(n, (0, 1, n))))
+    if n == 3:
+        # not closed: the closed form does not rest on dH = 0
+        structures.append(
+            LCourantStructure.twisted(AtiyahForm(3, 3, {(0, 1, 3): Scalar.variable(3, 3)}))
+        )
+    zero_form = AtiyahForm.zero(n, 1)
+    for structure in structures:
+        rng = random.Random(100 + n)
+        for _ in range(4):
+            e1, e2, e3 = (random_section(n, 1, rng, 2, 3) for _ in range(3))
+            d1, d2 = (random_derivation(n, rng, 2, 3) for _ in range(2))
+            alpha = random_form(n, 1, rng, 2, 3)
+            triples = [
+                (e1, e2, e3),
+                # the shape of RepHomotopyData.nu: two bare derivations, one form
+                (
+                    DSection(d1, zero_form),
+                    DSection(d2, zero_form),
+                    DSection(Derivation.zero(n), alpha),
+                ),
+                (DSection(d1, zero_form), DSection(d2, zero_form), e3),
+                (e1, DSection(Derivation.zero(n), alpha), e2),
+            ]
+            for triple in triples:
+                assert structure.trilinear(*triple) == _cyclic_pairing(structure, *triple)
+
+
+def test_a_derivation_contracted_with_a_differential_acts_on_the_scalar():
+    rng = random.Random(11)
+    for n in (1, 2, 3):
+        for _ in range(4):
+            d = random_derivation(n, rng, 2, 3)
+            s = random_polynomial(n, rng, 2, 3)
+            assert contract(d, differential(s)).scalar() == d.apply(s)
+            e = DSection(d, random_form(n, 1, rng, 2, 3))
+            assert pairing(e, script_D(s)).scalar() == d.apply(s)
 
 
 def test_gauge_auto():
