@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 
 
 class CheckResult:
@@ -72,7 +71,6 @@ def check_cases(cases, checks, context=None, label="{name}[{case}]"):
     return out
 
 
-@dataclass(frozen=True)
 class Family:
     """One seeded identity family: ``count`` cases, each drawn on its own.
 
@@ -86,13 +84,16 @@ class Family:
     all of it.
     """
 
-    tag: str
-    count: int
-    draw: object
-    checks: object
-    context: object = None
-    label: str = "{name}[{case}]"
-    seed: int = 0
+    __slots__ = ("tag", "count", "draw", "checks", "context", "label", "seed")
+
+    def __init__(self, tag, count, draw, checks, context=None, label="{name}[{case}]", seed=0):
+        self.tag = tag
+        self.count = count
+        self.draw = draw
+        self.checks = checks
+        self.context = context
+        self.label = label
+        self.seed = seed
 
     def rows(self, lo, hi):
         cases = (

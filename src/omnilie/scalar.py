@@ -27,9 +27,11 @@ transcendental functions.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import DegreeOverflow, DivisionByZero, IndexOutOfRange
 
@@ -102,9 +104,13 @@ class Polynomial:
     every polynomial has one representation.  Instances are treated as
     immutable; read coefficients through :meth:`coefficient` and
     :meth:`items`.
+
+    ``_memo`` is None or a list of ``nvars + 1`` entries: at 0 the last
+    Kronecker image of the numerators as ``((base, width), int)``, at i
+    the partial derivative in x_i.  Both depend only on the polynomial.
     """
 
-    __slots__ = ("nvars", "terms", "den")
+    __slots__ = ("nvars", "terms", "den", "_memo")
 
     def __init__(self, nvars, terms=None):
         """``terms`` maps exponent tuples of length ``nvars`` to rationals."""
@@ -120,6 +126,7 @@ class Polynomial:
             m: c.numerator * (den // c.denominator) for m, c in coeffs.items()
         }
         self.den = den
+        self._memo = None
 
     @classmethod
     def _raw(cls, nvars, terms, den=1):
@@ -128,6 +135,7 @@ class Polynomial:
         p.nvars = nvars
         p.terms = terms
         p.den = den
+        p._memo = None
         return p
 
     @classmethod
@@ -271,33 +279,28 @@ class Polynomial:
 
     def __mul__(self, other):
         ta, tb = self.terms, other.terms
+        n = self.nvars
         if not ta or not tb:
-            return Polynomial.zero(self.nvars)
-        degree = (max(ta) + max(tb)) >> (self.nvars * _BITS)
+            return Polynomial.zero(n)
+        degree = (max(ta) + max(tb)) >> (n * _BITS)
         if degree > MAX_DEGREE:
             raise DegreeOverflow(
                 f"product of total degree {degree} is above the limit {MAX_DEGREE}"
             )
-        terms = {}
-        get = terms.get
-        # A sum that cancels is dropped at once and re-inserted at the end
-        # if it reappears.  The gcd's content loop visits coefficients in
-        # this insertion order, which decides how many gcds it takes.
-        for m1, c1 in ta.items():
-            for m2, c2 in tb.items():
-                m = m1 + m2
-                s = get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-        return Polynomial._reduced(self.nvars, terms, self.den * other.den)
+        den = self.den * other.den
+        terms = _add_products(n, [(1, self, other, den)], den, degree, len(ta) * len(tb))
+        return Polynomial._reduced(n, terms, den)
 
     def derivative(self, index):
         """Partial derivative with respect to x_index (1-based)."""
         n = self.nvars
         if not 1 <= index <= n:
             raise IndexOutOfRange(f"variable index {index} outside 1..{n}")
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = [None] * (n + 1)
+        elif memo[index] is not None:
+            return memo[index]
         shift = (n - index) * _BITS
         step = (1 << (n * _BITS)) | (1 << shift)
         terms = {}
@@ -305,7 +308,8 @@ class Polynomial:
             e = (m >> shift) & _FIELD
             if e:
                 terms[m - step] = c * e
-        return Polynomial._reduced(n, terms, self.den)
+        memo[index] = d = Polynomial._reduced(n, terms, self.den)
+        return d
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -851,13 +855,16 @@ def sum_of_products(n, terms):
 # encoding and decoding cost more than the dict loop saves.
 _KRONECKER_WORK = 256
 
+# Kronecker slot widths in bits, each with the memoryview code of an
+# unsigned item of that width.
+_SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
 
 def _polynomial_sum_of_products(n, terms):
     # The numerator of sum_of_products when every den is the shared unit,
     # over ``den``, the lcm of the denominators.  One pass collects the
     # nonzero terms, ``den``, the largest degree ``top`` of a term and the
-    # count ``work`` of coefficient products; the sum is then added up in a
-    # dict of packed monomials, or for a large dense sum by _kronecker_sum.
+    # count ``work`` of coefficient products; _add_products adds them up.
     shift = n * _BITS
     limit = (MAX_DEGREE + 1) << shift
     den = 1
@@ -869,7 +876,7 @@ def _polynomial_sum_of_products(n, terms):
         if not ta:
             continue
         if b is None:
-            tb = None
+            q = None
             d = p.den
             k = max(ta)
         else:
@@ -888,94 +895,131 @@ def _polynomial_sum_of_products(n, terms):
             top = k
         if d != den and den % d:
             den *= d // gcd(den, d)
-        prods.append((sign, ta, tb, d))
-    top >>= shift
-    if work >= _KRONECKER_WORK and (top + 1) ** n <= work:
-        acc = _kronecker_sum(n, prods, den, top)
-    else:
-        acc = {}
-        get = acc.get
-        for sign, ta, tb, d in prods:
-            scale = sign if d == den else sign * (den // d)
-            if tb is None:
-                for m, c in ta.items():
-                    v = get(m, 0) + c * scale
-                    if v:
-                        acc[m] = v
-                    else:
-                        del acc[m]
-                continue
-            for m1, c1 in ta.items():
-                c1 *= scale
-                for m2, c2 in tb.items():
-                    m = m1 + m2
-                    v = get(m, 0) + c1 * c2
-                    if v:
-                        acc[m] = v
-                    else:
-                        del acc[m]
+        prods.append((sign, p, q, d))
+    acc = _add_products(n, prods, den, top >> shift, work)
     if not acc:
         return _units(n)[0]
     return Polynomial._reduced(n, acc, den)
 
 
-def _kronecker_sum(n, prods, den, top):
-    """The dict of the nonzero terms of ``sum sign * (den / d) * ta * tb``
-    over ``prods`` (``tb`` None for 1), in ascending key order, by
-    Kronecker substitution.
+def _add_products(n, prods, den, top, work):
+    """The dict of the nonzero terms of ``sum sign * (den / d) * p * q``
+    over ``(sign, p, q, d)`` in ``prods``, polynomials ``p`` and ``q`` (q
+    None for 1) of degree <= top making ``work`` coefficient products.
 
-    A monomial of degree <= top goes to slot ``sum e_i (top + 1)^(n - i)``,
-    so a product of monomials goes to the sum of their slots, and each
-    polynomial becomes one integer with its coefficients at ``w`` bits per
-    slot.  The whole sum is then one big integer: one multiply per product,
-    read back once (Fateman 2010; Harvey, JSC 2009).  ``w`` holds a sign
-    bit and a bound on every output coefficient, so no slot overflows.
+    A large dense sum whose coefficients fit a slot takes _kronecker_sum;
+    any other sum is added up term by term in a dict of packed monomials.
+    A sum that cancels is dropped at once and re-inserted at the end if it
+    reappears.  The gcd's content loop visits coefficients in this
+    insertion order, which decides how many gcds it takes.
     """
-    bound = 0
-    for _, ta, tb, d in prods:
-        c = (den // d) * max(map(abs, ta.values()))
-        if tb is not None:
-            c *= max(map(abs, tb.values())) * min(len(ta), len(tb))
-        bound += c
-    w = (bound.bit_length() + 8) & -8  # a sign bit, rounded up to whole bytes
-    offsets, bias, size = _kronecker_layout(n, top + 1, w)
-    total = 0
-    for sign, ta, tb, d in prods:
-        x = sum([c << offsets[m] for m, c in ta.items()])
-        if tb is not None:
-            x *= sum([c << offsets[m] for m, c in tb.items()])
-        total += (sign if d == den else sign * (den // d)) * x
-    # The bias lifts every slot by 2^(w-1) into 0..2^w - 1, so no slot
-    # borrows from the next one and each slot is read on its own.
-    data = (total + bias).to_bytes(size, "little")
-    step = w >> 3
-    half = 1 << (w - 1)
-    from_bytes = int.from_bytes
+    if work >= _KRONECKER_WORK and (top + 1) ** n <= work:
+        width = _slot_width(prods, den)
+        if width:
+            return _kronecker_sum(n, prods, den, top, width)
     acc = {}
-    for m, off in offsets.items():
-        at = off >> 3
-        v = from_bytes(data[at : at + step], "little") - half
-        if v:
-            acc[m] = v
+    get = acc.get
+    for sign, p, q, d in prods:
+        scale = sign if d == den else sign * (den // d)
+        if q is None:
+            for m, c in p.terms.items():
+                v = get(m, 0) + c * scale
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
+            continue
+        tb = q.terms
+        for m1, c1 in p.terms.items():
+            c1 *= scale
+            for m2, c2 in tb.items():
+                m = m1 + m2
+                v = get(m, 0) + c1 * c2
+                if v:
+                    acc[m] = v
+                else:
+                    del acc[m]
     return acc
 
 
+def _slot_width(prods, den):
+    """The narrowest slot width that holds a sign bit and a bound on every
+    input and output coefficient of the sum, or 0 past 64 bits."""
+    bound = 0
+    for _, p, q, d in prods:
+        ta = p.terms
+        c = (den // d) * max(map(abs, ta.values()))
+        if q is not None:
+            tb = q.terms
+            c *= max(map(abs, tb.values())) * min(len(ta), len(tb))
+        bound += c
+    bits = bound.bit_length() + 1
+    for width in _SLOT_CODES:
+        if bits <= width:
+            return width
+    return 0
+
+
+def _kronecker_sum(n, prods, den, top, width):
+    """_add_products by Kronecker substitution, in ascending key order.
+
+    A monomial of degree <= top goes to slot ``sum e_i (top + 1)^(n - i)``,
+    so a product of monomials goes to the sum of their slots, and each
+    polynomial becomes one integer with its coefficients in ``width``-bit
+    slots.  The whole sum is then one big integer: one multiply per product,
+    read back once (Fateman 2010; Harvey, JSC 2009).  Each slot holds its
+    coefficient plus a bias of half its range, so no slot borrows from the
+    next: an image is written into a copy of a template whose every slot
+    holds the bias, and the sum is read back through one memoryview of its
+    bytes.  Each polynomial keeps its last image.
+    """
+    base = top + 1
+    slots, gather = _kronecker_layout(n, base)
+    key = (base, width)
+    code = _SLOT_CODES[width]
+    half = 1 << (width - 1)
+    template = half.to_bytes(width >> 3, sys.byteorder) * base**n
+    bias = int.from_bytes(template, sys.byteorder)
+
+    def image(p):
+        memo = p._memo
+        if memo is None:
+            memo = p._memo = [None] * (n + 1)
+        elif memo[0] is not None and memo[0][0] == key:
+            return memo[0][1]
+        data = bytearray(template)
+        view = memoryview(data).cast(code)
+        for m, c in p.terms.items():
+            view[slots[m]] = c + half
+        x = int.from_bytes(data, sys.byteorder) - bias
+        memo[0] = (key, x)
+        return x
+
+    total = 0
+    for sign, p, q, d in prods:
+        x = image(p)
+        if q is not None:
+            x *= image(q)
+        total += (sign if d == den else sign * (den // d)) * x
+    data = (total + bias).to_bytes(len(template), sys.byteorder)
+    values = gather(memoryview(data).cast(code))
+    return {m: v - half for m, v in zip(slots, values) if v != half}
+
+
 @lru_cache(maxsize=64)
-def _kronecker_layout(n, base, w):
-    """Kronecker slots of the monomials of degree < base in n variables at
-    w bits per slot: the bit offset of each packed key, in ascending key
-    order, the bias of 2^(w-1) in each of the base^n slots, and the byte
-    size of the box."""
-    offsets = {}
+def _kronecker_layout(n, base):
+    """Kronecker slots of the monomials of degree < base in n variables: a
+    dict from each packed key, in ascending key order, to its slot index,
+    and an itemgetter of those slots in the same order.  Its one index past
+    the slots keeps even a one-slot gather a tuple; zip drops it."""
+    slots = {}
     for degree in range(base):
         for mono in _monomials_of_degree(n, degree):
             slot = 0
             for e in mono:
                 slot = slot * base + e
-            offsets[_pack(n, mono)] = slot * w
-    box = base**n
-    bias = ((1 << (w * box)) - 1) // ((1 << w) - 1) << (w - 1)
-    return offsets, bias, box * w >> 3
+            slots[_pack(n, mono)] = slot
+    return slots, itemgetter(*slots.values(), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ the expected failure is detected.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
 
@@ -94,39 +93,45 @@ from .jacobi import (
 from . import linalg
 
 
-@dataclass
 class SuiteContext:
-    n: int
-    samples: int
-    seed: int
-    max_degree: int = 2
-    coeff_bound: int = 3
-    forms: dict = field(default_factory=dict)
-    sabotage: str | None = None
+    __slots__ = ("n", "samples", "seed", "max_degree", "coeff_bound", "forms", "sabotage")
+
+    def __init__(self, n, samples, seed, max_degree=2, coeff_bound=3, forms=None, sabotage=None):
+        self.n = n
+        self.samples = samples
+        self.seed = seed
+        self.max_degree = max_degree
+        self.coeff_bound = coeff_bound
+        self.forms = {} if forms is None else forms
+        self.sabotage = sabotage
 
 
-@dataclass(frozen=True)
 class Row:
     """One fixed row of a suite table: ``value()`` returns its residual or
     CheckResult, and is called only when the row runs."""
 
-    label: str
-    value: object
+    __slots__ = ("label", "value")
+
+    def __init__(self, label, value):
+        self.label = label
+        self.value = value
 
     def rows(self):
         return [outcome(self.label, self.value())]
 
 
-@dataclass(frozen=True)
 class Unit:
     """The unit of scheduling: the cases ``lo..hi-1`` of the family or row
     ``tag`` of a suite.  ``run()`` returns their rows."""
 
-    suite: str
-    tag: str
-    lo: int
-    hi: int
-    run: object
+    __slots__ = ("suite", "tag", "lo", "hi", "run")
+
+    def __init__(self, suite, tag, lo, hi, run):
+        self.suite = suite
+        self.tag = tag
+        self.lo = lo
+        self.hi = hi
+        self.run = run
 
 
 def table_units(suite, table, ctx):
@@ -820,7 +825,21 @@ def gauge(ctx):
     ]
 
 
-@dataclass(frozen=True)
+class _Field:
+    """What ``dataclasses.replace`` reads of a field.  The tracer of
+    ``perfbench/traced_verify.py`` rebuilds each spec with that function,
+    so SuiteSpec lists its fields in this form without importing
+    ``dataclasses``, which would add its own imports (``inspect``, ``ast``,
+    ``dis``, ``tokenize``) to the start-up of every command."""
+
+    __slots__ = ("name",)
+    init = True
+    _field_type = None
+
+    def __init__(self, name):
+        self.name = name
+
+
 class SuiteSpec:
     """A registered suite.  ``omega`` says what it needs of a named twist:
     None when it never reads ``forms.omega``, "closed" when it reads it
@@ -830,16 +849,16 @@ class SuiteSpec:
     runs every unit of the table in order, in process; it defaults to
     ``run_units`` of ``units(ctx)``."""
 
-    name: str
-    min_n: int
-    max_n: int | None
-    omega: str | None
-    table: object
-    runner: object = None
+    __slots__ = ("name", "min_n", "max_n", "omega", "table", "runner")
+    __dataclass_fields__ = {name: _Field(name) for name in __slots__}
 
-    def __post_init__(self):
-        if self.runner is None:
-            object.__setattr__(self, "runner", lambda ctx: run_units(self.units(ctx)))
+    def __init__(self, name, min_n, max_n, omega, table, runner=None):
+        self.name = name
+        self.min_n = min_n
+        self.max_n = max_n
+        self.omega = omega
+        self.table = table
+        self.runner = runner or (lambda ctx: run_units(self.units(ctx)))
 
     def units(self, ctx):
         return table_units(self.name, self.table, ctx)

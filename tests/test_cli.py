@@ -400,6 +400,17 @@ def test_console_entry_point_subprocess(tmp_path, cli_env):
     assert "PASS gauge" in proc.stdout
 
 
+def test_the_cli_imports_neither_dataclasses_nor_inspect(cli_env):
+    # Each would add its own imports (inspect pulls in ast, dis and
+    # tokenize) to the start-up of every command.
+    code = "import sys, omnilie.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=cli_env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize(
     "command, code",

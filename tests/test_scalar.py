@@ -376,13 +376,14 @@ def test_sum_of_products_checks_the_degree_limit():
 
 
 @contextmanager
-def kronecker_sums():
-    """Record the variable count of every sum that takes the Kronecker path."""
+def kronecker_sums(arg=0):
+    """Record the variable count (argument ``arg`` of the kernel; 4 is the
+    slot width) of every sum that takes the Kronecker path."""
     taken = []
     kernel = scalar._kronecker_sum
 
     def counted(*args):
-        taken.append(args[0])
+        taken.append(args[arg])
         return kernel(*args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -434,13 +435,14 @@ def test_kronecker_sums_match_the_loop_and_scalar_arithmetic(terms):
 def test_kronecker_slots_hold_coefficients_at_their_bound(bits):
     # 256 equal products c * x1 with c = 2^(bits - 9): the one coefficient
     # of the sum is its bound 2^(bits - 1), whose bit length is a whole
-    # number of bytes, so the slot has no spare bit for the sign.
+    # number of bytes, so the slot needs one more bit for the sign.  At 64
+    # bits that is past the widest slot, and the sum takes the loop.
     x = Scalar.variable(3, 1)
     c = Scalar.from_fraction(3, 2 ** (bits - 9))
     for sign in (1, -1):
         with kronecker_sums() as taken:
             assert sum_of_products(3, [(sign, c, x)] * 256) == x * (sign * 2 ** (bits - 1))
-        assert taken == [3]
+        assert taken == ([3] if bits < 64 else [])
 
 
 def test_dense_sums_take_the_kronecker_path_and_sparse_ones_do_not():
@@ -460,6 +462,123 @@ def test_dense_sums_take_the_kronecker_path_and_sparse_ones_do_not():
             total = sum_of_products(n, terms)
         assert taken == ([3] if n == 3 else [])
         assert total == _left_to_right(n, terms)
+
+
+# For each slot width, a coefficient cap M at its edge: four products of
+# 8-term factors whose largest coefficient is M have the slot bound
+# 4 * 8 * M^2, whose bit length plus a sign bit is the width itself (7
+# of the 8 bits at the narrowest, where M = 2 would need 9).
+SLOT_EDGES = {8: 1, 16: 30, 32: 8191, 64: 2**29 - 1}
+
+
+def slot_factor(draw, n, cap, max_degree=3):
+    """An 8-term polynomial scalar of degree ``max_degree`` with integer
+    coefficients in -cap..cap, one of them +-cap."""
+    monos = monomials_upto(n, max_degree)
+    top = draw(st.sampled_from([m for m in monos if sum(m) == max_degree]))
+    monos = [top] + draw(st.permutations([m for m in monos if m != top]))[:7]
+    sign = st.sampled_from([1, -1])
+    coeffs = [draw(sign) * draw(st.integers(1, cap)) for _ in monos[1:]]
+    coeffs.append(draw(sign) * cap)
+    return Scalar(Polynomial(n, dict(zip(monos, coeffs))))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("width", sorted(SLOT_EDGES))
+def test_kronecker_sums_at_each_slot_width(width, data):
+    # One polynomial, `shared`, takes part in four sums: two of the same
+    # layout (its second image comes from its memo), one of a wider slot
+    # and one of a higher degree (a new box).  Each sum is checked
+    # against the dict loop and against Scalar arithmetic.
+    n, cap = 2, SLOT_EDGES[width]
+    shared = slot_factor(data.draw, n, cap)
+    sign = st.sampled_from([1, -1])
+
+    def sum_with(cap, max_degree=3):
+        others = [slot_factor(data.draw, n, cap, max_degree) for _ in range(7)]
+        pairs = [(shared, others[0])] + list(zip(others[1::2], others[2::2]))
+        return [(data.draw(sign), a, b) for a, b in pairs]
+
+    sums = [(sum_with(cap), width, 7), (sum_with(cap), width, 7)]
+    wider = [w for w in sorted(SLOT_EDGES) if w > width]
+    if wider:
+        sums.append((sum_with(SLOT_EDGES[wider[0]]), wider[0], 7))
+    sums.append((sum_with(cap, 4), width, 9))
+    for terms, slot, base in sums:
+        with kronecker_sums(4) as taken:
+            total = sum_of_products(n, terms)
+        assert taken == [slot]
+        assert shared.num._memo[0][0] == (base, slot)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scalar, "_KRONECKER_WORK", float("inf"))
+            looped = sum_of_products(n, terms)
+        assert total == looped == _left_to_right(n, terms)
+        assert list(total.num.terms) == sorted(total.num.terms)
+
+
+def _product_by_items(a, b):
+    terms = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            mono = tuple(x + y for x, y in zip(ma, mb))
+            terms[mono] = terms.get(mono, 0) + ca * cb
+    return Polynomial(a.nvars, terms)
+
+
+def test_large_products_take_the_kronecker_path(count_operations):
+    # 20 x 20 terms of degree <= 3 in 3 variables: 400 coefficient
+    # products into a box of 7^3 = 343 slots.
+    rng = random.Random(16)
+    a, b = (random_polynomial(3, rng, 3, 10**6).num for _ in range(2))
+    assert len(a.terms) == len(b.terms) == 20
+    with kronecker_sums() as taken:
+        product = a * b
+    assert taken == [3]
+    assert list(product.terms) == sorted(product.terms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_KRONECKER_WORK", float("inf"))
+        with kronecker_sums() as taken:
+            looped = a * b
+        assert taken == []
+    assert product == looped == _product_by_items(a, b)
+    # a small product keeps the loop
+    with kronecker_sums() as taken:
+        assert a * Polynomial.variable(3, 1) == _product_by_items(a, Polynomial.variable(3, 1))
+    assert taken == []
+    counts = count_operations()
+    a * b
+    assert counts == {"poly_mul": 1, "coeff_products": 400, "gcd": 0}
+
+
+def test_a_product_past_the_degree_limit_raises_before_any_work(monkeypatch):
+    high = Polynomial(3, {(MAX_DEGREE, 0, 0): 1})
+    a = random_polynomial(3, random.Random(1), 3, 5).num
+
+    def forbidden(*args):
+        raise AssertionError("products added up")
+
+    monkeypatch.setattr(scalar, "_add_products", forbidden)
+    with pytest.raises(DegreeOverflow):
+        high * a
+
+
+def _derivative_by_items(p, i):
+    for mono, c in p.items():
+        if mono[i - 1]:
+            yield tuple(e - (k == i - 1) for k, e in enumerate(mono)), c * mono[i - 1]
+
+
+def test_derivatives_are_kept():
+    p = random_polynomial(3, random.Random(2), 3, 5).num
+    for i in (1, 2, 3):
+        d = p.derivative(i)
+        assert p.derivative(i) is d
+        assert d == Polynomial(3, dict(_derivative_by_items(p, i)))
+    with pytest.raises(IndexOutOfRange):
+        p.derivative(4)
+    s = Scalar(p)
+    assert s.derive(2).num is p.derivative(2)
 
 
 def test_random_polynomial_draws_as_the_constructor_did():

@@ -28,6 +28,19 @@ def test_registry_names_fixed():
     assert set(SUITES) == EXPECTED
 
 
+def test_dataclasses_replace_rebuilds_a_suite_spec():
+    # The per-layer tracer of the benchmark swaps each runner this way.
+    import dataclasses
+
+    spec = SUITES["gauge"]
+    traced = dataclasses.replace(spec, runner=len)
+    assert (traced.name, traced.min_n, traced.max_n, traced.omega) == ("gauge", 1, None, None)
+    assert traced.table is spec.table and traced.runner is len
+    rebuilt = dataclasses.replace(spec, runner=None)
+    ctx = small_ctx()
+    assert rebuilt.runner(ctx) == spec.runner(ctx)
+
+
 def test_seed_derivation_is_stable():
     assert derive_seed(7, "a", 1) == derive_seed(7, "a", 1)
     assert derive_seed(7, "a", 1) != derive_seed(7, "a", 2)
