@@ -74,14 +74,7 @@ class JacobiBiderivation:
             raise ValueError("the inducing form must have degree 2")
         if not differential(omega).is_zero():
             raise NotClosed("the inducing form must be closed")
-        flat = [
-            [
-                evaluate(omega, Derivation.basis(n, t), Derivation.basis(n, a))
-                for t in range(n + 1)
-            ]
-            for a in range(n + 1)
-        ]
-        inv = linalg.inverse(flat)
+        inv = linalg.inverse(_tilde_matrix(omega))
         if inv is None:
             raise NonInvertible("the inducing form is degenerate")
         matrix = [[-inv[a][b] for b in range(n + 1)] for a in range(n + 1)]

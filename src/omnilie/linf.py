@@ -224,13 +224,18 @@ class HamiltonianSpace:
 
 
 class LInfinityStructure:
-    """Graded spaces plus the bracket family, with an explicit arity bound."""
+    """Graded spaces plus a bracket table, with an explicit arity bound.
 
-    def __init__(self, name, spaces, arity, bracket_fn):
+    ``brackets`` maps a tuple of input degrees to a function of the
+    payloads.  The bracket of k inputs lands in degree
+    ``sum(degrees) + k - 2``, and a tuple with no entry brackets to zero.
+    """
+
+    def __init__(self, name, spaces, arity, brackets):
         self.name = name
         self.spaces = tuple(spaces)
         self.arity = arity
-        self._bracket = bracket_fn
+        self.brackets = brackets
 
     @property
     def terms(self):
@@ -240,13 +245,17 @@ class LInfinityStructure:
         return self.spaces[degree]
 
     def l(self, k, elems):
-        """The k-th bracket; None encodes the zero of an out-of-complex degree."""
+        """The k-th bracket; None encodes the zero of a missing entry."""
         elems = tuple(elems)
         if len(elems) != k:
             raise ArityError(f"l_{k} applied to {len(elems)} arguments")
         if k > self.arity:
             return None
-        return self._bracket(k, elems)
+        degs = tuple(e.degree for e in elems)
+        fn = self.brackets.get(degs)
+        if fn is None:
+            return None
+        return GradedElement(sum(degs) + k - 2, fn(*(e.payload for e in elems)))
 
     def zero_element(self, degree):
         return GradedElement(degree, self.spaces[degree].zero())
@@ -269,14 +278,9 @@ class LInfinityStructure:
 
 def drop_bracket(structure, k):
     """A sabotaged copy with the k-th bracket removed."""
-
-    def fn(kk, elems):
-        if kk == k:
-            return None
-        return structure._bracket(kk, elems)
-
+    brackets = {d: fn for d, fn in structure.brackets.items() if len(d) != k}
     return LInfinityStructure(
-        f"{structure.name}-drop-l{k}", structure.spaces, structure.arity, fn
+        f"{structure.name}-drop-l{k}", structure.spaces, structure.arity, brackets
     )
 
 
@@ -329,41 +333,14 @@ def build_two_term(structure):
     """Sections in degree 0, scalars in degree 1, brackets from the structure."""
     n = structure.n
     spaces = (SectionSpace(n, 1), ScalarSpace(n))
-
-    def bracket(k, elems):
-        degs = tuple(e.degree for e in elems)
-        if k == 1:
-            (a,) = elems
-            if a.degree == 1:
-                return GradedElement(0, structure.coboundary(a.payload))
-            return None
-        if k == 2:
-            a, b = elems
-            if degs == (0, 0):
-                return GradedElement(
-                    0, structure.skew_bracket(a.payload, b.payload)
-                )
-            if degs == (0, 1):
-                return GradedElement(
-                    1, _pair_with_coboundary(structure, a.payload, b.payload)
-                )
-            if degs == (1, 0):
-                return GradedElement(
-                    1, -_pair_with_coboundary(structure, b.payload, a.payload)
-                )
-            return None
-        if k == 3:
-            if degs == (0, 0, 0):
-                return GradedElement(
-                    1,
-                    -structure.trilinear(
-                        elems[0].payload, elems[1].payload, elems[2].payload
-                    ),
-                )
-            return None
-        return None
-
-    return LInfinityStructure(f"two-term[{structure.name}]", spaces, 3, bracket)
+    brackets = {
+        (1,): structure.coboundary,
+        (0, 0): structure.skew_bracket,
+        (0, 1): lambda e, s: _pair_with_coboundary(structure, e, s),
+        (1, 0): lambda s, e: -_pair_with_coboundary(structure, e, s),
+        (0, 0, 0): lambda a, b, c: -structure.trilinear(a, b, c),
+    }
+    return LInfinityStructure(f"two-term[{structure.name}]", spaces, 3, brackets)
 
 
 def build_three_term(structure):
@@ -374,18 +351,9 @@ def build_three_term(structure):
     subspace and the brackets agree with the two-term ones.
     """
     base = build_two_term(structure)
-    n = structure.n
-    spaces = base.spaces + (TrivialSpace(n),)
-
-    def bracket(k, elems):
-        degs = tuple(e.degree for e in elems)
-        if k == 1 and degs == (2,):
-            return GradedElement(1, elems[0].payload)
-        if any(d == 2 for d in degs):
-            return None
-        return base._bracket(k, elems)
-
-    return LInfinityStructure(f"three-term[{structure.name}]", spaces, 4, bracket)
+    spaces = base.spaces + (TrivialSpace(structure.n),)
+    brackets = {**base.brackets, (2,): lambda s: s}
+    return LInfinityStructure(f"three-term[{structure.name}]", spaces, 4, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -460,39 +428,26 @@ def build_semidirect(data):
     n = data.n
     spaces = (SectionSpace(n, 1), ScalarSpace(n))
 
-    def bracket(k, elems):
-        degs = tuple(e.degree for e in elems)
-        if k == 1:
-            if degs == (1,):
-                return GradedElement(0, script_D(elems[0].payload))
-            return None
-        if k == 2:
-            a, b = elems
-            if degs == (0, 0):
-                ea, eb = a.payload, b.payload
-                return GradedElement(
-                    0,
-                    DSection(
-                        commutator(ea.der, eb.der),
-                        data.mu0(ea.der, eb.form) - data.mu0(eb.der, ea.form),
-                    ),
-                )
-            if degs == (0, 1):
-                return GradedElement(1, data.mu1(a.payload.der, b.payload))
-            if degs == (1, 0):
-                return GradedElement(1, -data.mu1(b.payload.der, a.payload))
-            return None
-        if k == 3:
-            if degs == (0, 0, 0):
-                ea, eb, ec = (e.payload for e in elems)
-                total = data.nu(ea.der, eb.der, ec.form)
-                total = total + data.nu(eb.der, ec.der, ea.form)
-                total = total + data.nu(ec.der, ea.der, eb.form)
-                return GradedElement(1, -total)
-            return None
-        return None
+    def l2(ea, eb):
+        return DSection(
+            commutator(ea.der, eb.der),
+            data.mu0(ea.der, eb.form) - data.mu0(eb.der, ea.form),
+        )
 
-    return LInfinityStructure("semidirect", spaces, 3, bracket)
+    def l3(ea, eb, ec):
+        total = data.nu(ea.der, eb.der, ec.form)
+        total = total + data.nu(eb.der, ec.der, ea.form)
+        total = total + data.nu(ec.der, ea.der, eb.form)
+        return -total
+
+    brackets = {
+        (1,): script_D,
+        (0, 0): l2,
+        (0, 1): lambda e, s: data.mu1(e.der, s),
+        (1, 0): lambda s, e: -data.mu1(e.der, s),
+        (0, 0, 0): l3,
+    }
+    return LInfinityStructure("semidirect", spaces, 3, brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -508,42 +463,31 @@ def observable_linf(xi):
         spaces.append(FormSpace(n, p - 1 - i))
     if p >= 2:
         spaces.append(ScalarSpace(n))
-    spaces = tuple(spaces)
-    top = p - 1
 
-    def wrap(degree, form):
-        if degree == 0:
-            raise AssertionError("degree-0 wrapping needs a derivation")
-        if degree == top and p >= 2:
-            return GradedElement(degree, form.scalar())
-        return GradedElement(degree, form)
+    def d_hamiltonian(a):
+        return HamiltonianForm(differential(as_form(a)), Derivation.zero(n))
 
-    def bracket(k, elems):
-        degs = tuple(e.degree for e in elems)
-        if k == 1:
-            (a,) = elems
-            if a.degree == 0:
-                return None
-            value = differential(as_form(a.payload))
-            if a.degree == 1:
-                return GradedElement(
-                    0, HamiltonianForm(value, Derivation.zero(n))
-                )
-            return wrap(a.degree - 1, value)
-        if 2 <= k <= p + 1 and all(d == 0 for d in degs):
-            hams = [e.payload for e in elems]
-            if k == 2:
-                return GradedElement(
-                    0, observable_bracket_hamiltonian(hams[0], hams[1]).scale(kappa(2))
-                )
+    def d_form(a):
+        return differential(as_form(a))
+
+    def l2(a, b):
+        return observable_bracket_hamiltonian(a, b).scale(kappa(2))
+
+    def higher(k):
+        def lk(*hams):
             value = observable_bracket(hams[0], hams[1])
             for h in hams[2:]:
                 value = contract(h.ham_der, value)
             value = value.scale(kappa(k))
-            return wrap(k - 2, value)
-        return None
+            # the top degree p - 1 holds scalars
+            return value.scalar() if k == p + 1 else value
 
-    return LInfinityStructure(f"observables[p={p}]", spaces, p + 1, bracket)
+        return lk
+
+    brackets = {(d,): d_hamiltonian if d == 1 else d_form for d in range(1, p)}
+    brackets[(0, 0)] = l2
+    brackets.update({(0,) * k: higher(k) for k in range(3, p + 2)})
+    return LInfinityStructure(f"observables[p={p}]", spaces, p + 1, brackets)
 
 
 def build_graph_linf(omega):
@@ -567,132 +511,58 @@ class LInfMorphism:
         self.phi2 = phi2
 
 
-def _payload(ge, space):
-    return space.zero() if ge is None else ge.payload
+def _apply(structure, degs, *payloads):
+    """The table entry at ``degs`` on the payloads, or the zero of its degree."""
+    fn = structure.brackets.get(degs)
+    if fn is None:
+        return structure.space(sum(degs) + len(degs) - 2).zero()
+    return fn(*payloads)
 
 
 def morphism_residuals(
     phi, source, target, samples, seed, max_degree=1, coeff_bound=2, tag="morphism"
 ):
     """Residuals of the three morphism conditions plus chain and skewness."""
-    graded = source.terms > 1
-
-    def tl(k, *payload_degree_pairs):
-        return target.l(
-            k, [GradedElement(d, pl) for pl, d in payload_degree_pairs]
-        )
 
     def draw(rng, case):
-        x, y, z = (source.random_element(0, rng, max_degree, coeff_bound) for _ in range(3))
-        h = (
-            source.random_element(1, rng, max_degree, coeff_bound)
-            if graded
-            else GradedElement(1, target.space(1).zero())
-        )
-        return x, y, z, h
+        x, y, z = (source.space(0).random(rng, max_degree, coeff_bound) for _ in range(3))
+        return x, y, z, source.space(1).random(rng, max_degree, coeff_bound)
 
     def checks(x, y, z, h):
-        fx, fy, fz = (phi.phi0(e.payload) for e in (x, y, z))
-        fh = phi.phi1(h.payload)
-
-        # chain condition
-        l1h = source.l(1, [h]) if graded else None
-        chain = ge_add(
-            GradedElement(0, phi.phi0(_payload(l1h, source.space(0)))),
-            ge_scale(tl(1, (fh, 1)), -1),
+        fx, fy, fz = (phi.phi0(e) for e in (x, y, z))
+        fh = phi.phi1(h)
+        l1h = _apply(source, (1,), h)
+        c3 = _apply(target, (0, 0, 0), fx, fy, fz) - phi.phi1(
+            _apply(source, (0, 0, 0), x, y, z)
         )
-
-        # skewness of the corrector
-        skew = phi.phi2(x.payload, y.payload) + phi.phi2(y.payload, x.payload)
-
-        # first condition
-        c1 = ge_add(
-            tl(2, (fx, 0), (fy, 0)),
-            ge_scale(
-                GradedElement(
-                    0,
-                    phi.phi0(
-                        _payload(source.l(2, [x, y]), source.space(0))
-                    ),
-                ),
-                -1,
-            ),
-        )
-        c1 = ge_add(c1, ge_scale(tl(1, (phi.phi2(x.payload, y.payload), 1)), -1))
-
-        # second condition
-        c2 = ge_add(
-            tl(2, (fx, 0), (fh, 1)),
-            GradedElement(
-                1,
-                -phi.phi1(
-                    _payload(
-                        source.l(2, [x, h]) if graded else None,
-                        source.space(1) if graded else target.space(1),
-                    )
-                ),
-            ),
-        )
-        c2 = ge_add(
-            c2,
-            GradedElement(
-                1,
-                -phi.phi2(x.payload, _payload(l1h, source.space(0))),
-            ),
-        )
-
-        # third condition
-        c3 = tl(3, (fx, 0), (fy, 0), (fz, 0))
-        c3 = ge_add(
-            c3,
-            GradedElement(
-                1,
-                -phi.phi1(
-                    _payload(source.l(3, [x, y, z]), source.space(1))
-                ),
-            ),
-        )
-        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            lbc = _payload(source.l(2, [b, c]), source.space(0))
-            c3 = ge_add(
-                c3, GradedElement(1, -phi.phi2(a.payload, lbc))
-            )
-            c3 = ge_add(
-                c3,
-                ge_scale(
-                    tl(2, (phi.phi0(a.payload), 0), (phi.phi2(b.payload, c.payload), 1)),
-                    -1,
-                ),
-            )
-        return {"chain": chain, "phi2-skew": skew, "cond1": c1, "cond2": c2, "cond3": c3}
+        for a, fa, b, c in ((x, fx, y, z), (y, fy, z, x), (z, fz, x, y)):
+            c3 = c3 - phi.phi2(a, _apply(source, (0, 0), b, c))
+            c3 = c3 - _apply(target, (0, 1), fa, phi.phi2(b, c))
+        return {
+            "chain": phi.phi0(l1h) - _apply(target, (1,), fh),
+            "phi2-skew": phi.phi2(x, y) + phi.phi2(y, x),
+            "cond1": _apply(target, (0, 0), fx, fy)
+            - phi.phi0(_apply(source, (0, 0), x, y))
+            - _apply(target, (1,), phi.phi2(x, y)),
+            "cond2": _apply(target, (0, 1), fx, fh)
+            - phi.phi1(_apply(source, (0, 1), x, h))
+            - phi.phi2(x, l1h),
+            "cond3": c3,
+        }
 
     return Family(tag, samples, draw, checks, seed=seed)
 
 
 def anchor_extension_algebra(b_form):
     """The Lie algebra of order-0 sections twisted by a 2-form, as a 2-term structure."""
-    n = b_form.n
-    spaces = (SectionSpace(n, 0), TrivialSpace(n))
+    spaces = (SectionSpace(b_form.n, 0), TrivialSpace(b_form.n))
 
-    def bracket(k, elems):
-        degs = tuple(e.degree for e in elems)
-        if k == 2 and degs == (0, 0):
-            ea, eb = elems[0].payload, elems[1].payload
-            sa, sb = ea.form.scalar(), eb.form.scalar()
-            value = (
-                ea.der.apply(sb)
-                - eb.der.apply(sa)
-                + evaluate(b_form, ea.der, eb.der)
-            )
-            return GradedElement(
-                0,
-                DSection(
-                    commutator(ea.der, eb.der), AtiyahForm.from_scalar(value)
-                ),
-            )
-        return None
+    def l2(ea, eb):
+        sa, sb = ea.form.scalar(), eb.form.scalar()
+        value = ea.der.apply(sb) - eb.der.apply(sa) + evaluate(b_form, ea.der, eb.der)
+        return DSection(commutator(ea.der, eb.der), AtiyahForm.from_scalar(value))
 
-    return LInfinityStructure("anchor-extension", spaces, 2, bracket)
+    return LInfinityStructure("anchor-extension", spaces, 2, {(0, 0): l2})
 
 
 def prolongation_morphism(b_form):

@@ -160,24 +160,21 @@ def hamiltonian_derivation(alpha, xi):
         raise NotHamiltonian(
             "the differential does not match any derivation inside the subbundle"
         )
+    return _combination(xi, coeffs)
+
+
+def hamiltonian_ambiguity(xi):
+    """Basis of derivations paired with the zero form inside the subbundle."""
+    return [_combination(xi, vec) for vec in linalg.nullspace(xi._form_matrix())]
+
+
+def _combination(xi, coeffs):
+    """The sum of the generators' derivations weighted by ``coeffs``."""
     delta = Derivation.zero(xi.n)
     for c, g in zip(coeffs, xi.generators):
         if not c.is_zero():
             delta = delta + g.der.scale(c)
     return delta
-
-
-def hamiltonian_ambiguity(xi):
-    """Basis of derivations paired with the zero form inside the subbundle."""
-    basis = linalg.nullspace(xi._form_matrix())
-    out = []
-    for vec in basis:
-        delta = Derivation.zero(xi.n)
-        for c, g in zip(vec, xi.generators):
-            if not c.is_zero():
-                delta = delta + g.der.scale(c)
-        out.append(delta)
-    return out
 
 
 class HamiltonianForm:

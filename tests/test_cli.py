@@ -411,6 +411,30 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect(cli_env):
     assert proc.stdout.strip() == "[]"
 
 
+def test_every_traced_target_exists(cli_env):
+    # install() rebinds functions process-wide, so it runs in a child.
+    perfbench = SCENARIOS.parent / "perfbench"
+    env = dict(cli_env, PYTHONPATH=os.pathsep.join([cli_env["PYTHONPATH"], str(perfbench)]))
+    code = "import traced_verify as t; print(t.install(t.Tracer()))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_the_readme_quick_tour_prints_what_it_shows(cli_env):
+    readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1]
+    code = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    shown = [line.split("#", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert shown and proc.stdout.splitlines() == shown
+
+
 @pytest.mark.parametrize("buffered", [True, False])
 @pytest.mark.parametrize(
     "command, code",

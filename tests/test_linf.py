@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -71,14 +72,7 @@ def derivation_lie_algebra(n):
         def random(self, rng, max_degree, coeff_bound):
             return random_derivation(n, rng, max_degree, coeff_bound)
 
-    def bracket(k, elems):
-        if k == 2 and all(e.degree == 0 for e in elems):
-            return GradedElement(
-                0, commutator(elems[0].payload, elems[1].payload)
-            )
-        return None
-
-    return LInfinityStructure("derivations", (DerSpace(),), 2, bracket)
+    return LInfinityStructure("derivations", (DerSpace(),), 2, {(0, 0): commutator})
 
 
 def test_oracle_reduces_to_jacobi_for_a_lie_algebra():
@@ -125,6 +119,42 @@ def test_trilinear_bracket_is_alternating():
     assert structure.l(3, [e1, e1, e2]).payload.is_zero()
 
 
+def built_structures():
+    b_closed = differential(random_form(2, 1, random.Random(9), 2, 2))
+    return [
+        build_two_term(LCourantStructure.omni(2)),
+        build_two_term(LCourantStructure.twisted(OMEGA2)),
+        build_three_term(LCourantStructure.omni(2)),
+        build_semidirect(rep_homotopy_data(2)),
+        build_graph_linf(OMEGA2),
+        anchor_extension_algebra(b_closed),
+    ]
+
+
+@pytest.mark.parametrize("structure", built_structures(), ids=lambda s: s.name)
+def test_every_table_entry_lands_in_its_degree(structure):
+    rng = random.Random(19)
+    for degs, fn in structure.brackets.items():
+        assert len(degs) <= structure.arity
+        out = structure.space(sum(degs) + len(degs) - 2).zero()
+        for _ in range(3):
+            payloads = [structure.space(d).random(rng, 1, 2) for d in degs]
+            assert type(fn(*payloads)) is type(out), (degs, structure.name)
+
+
+def _sabotage_witness(intact, k, rng):
+    """The first seeded tuple of at most four inputs, in order of size and
+    degrees, on which dropping l_k leaves a nonzero residual."""
+    sabotaged = drop_bracket(intact, k)
+    for size in range(1, min(4, intact.arity + 1) + 1):
+        for degrees in itertools.product(range(intact.terms), repeat=size):
+            tup = intact.random_tuple(size, rng, 1, 2, degrees=list(degrees))
+            if not ge_is_zero(jacobi_residual(sabotaged, tup)):
+                assert ge_is_zero(jacobi_residual(intact, tup))
+                return tup
+    return None
+
+
 def test_sabotaged_structure_fails_at_three_inputs():
     structure = drop_bracket(build_two_term(LCourantStructure.twisted(OMEGA2)), 3)
     witness = [
@@ -135,6 +165,15 @@ def test_sabotaged_structure_fails_at_three_inputs():
     assert not ge_is_zero(jacobi_residual(structure, witness))
     intact = build_two_term(LCourantStructure.twisted(OMEGA2))
     assert ge_is_zero(jacobi_residual(intact, witness))
+    # the oracle sees every bracket; the anchor extension's lone l2 is a
+    # Lie bracket, so dropping it leaves the zero structure
+    rng = random.Random(20)
+    for intact in built_structures():
+        if intact.name == "anchor-extension":
+            continue
+        for k in sorted({len(degs) for degs in intact.brackets}):
+            witness = _sabotage_witness(intact, k, rng)
+            assert witness is not None and len(witness) == 3, (intact.name, k)
 
 
 def test_three_term_structure():
@@ -326,8 +365,6 @@ def _permuted_equal(structure, k, elems, perm):
 
 
 def test_bracket_graded_skewness_under_permutations():
-    import itertools
-
     rng = random.Random(18)
     for structure in (
         build_two_term(LCourantStructure.twisted(OMEGA2)),
