@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import ArityMismatch, NotClosed
-from .gauge import Derivation
+from .gauge import Derivation, remembered
 from .scalar import Scalar, random_polynomial, sum_of_products
 
 INF = "inf"  # serialization marker for the unit direction
@@ -84,6 +84,13 @@ class AtiyahForm:
         return not self.coeffs
 
     def __add__(self, other):
+        return self._combine(other, False)
+
+    def __sub__(self, other):
+        return self._combine(other, True)
+
+    def _combine(self, other, subtract):
+        # self + other, or self - other through Scalar.__sub__
         if not isinstance(other, AtiyahForm):
             return NotImplemented
         if other.n != self.n:
@@ -91,14 +98,17 @@ class AtiyahForm:
         if other.degree != self.degree:
             # the zero form is degree-agnostic
             if self.is_zero():
-                return other
+                return -other if subtract else other
             if other.is_zero():
                 return self
             raise ValueError("can only add forms of matching degree")
         coeffs = dict(self.coeffs)
         for key, value in other.coeffs.items():
             s = coeffs.get(key)
-            s = value if s is None else s + value
+            if s is None:
+                s = -value if subtract else value
+            else:
+                s = s - value if subtract else s + value
             if s.is_zero():
                 coeffs.pop(key, None)
             else:
@@ -109,11 +119,6 @@ class AtiyahForm:
         return AtiyahForm._raw(
             self.n, self.degree, {k: -v for k, v in self.coeffs.items()}
         )
-
-    def __sub__(self, other):
-        if not isinstance(other, AtiyahForm):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, f):
         if isinstance(f, (int, Fraction)):
@@ -181,6 +186,12 @@ def _basis_action(n, t, s):
     return s.derive(t + 1)
 
 
+# Each operation below is the sum of the products its gatherer puts under
+# each output key of a shared dict, as (weight, a, b) triples for
+# sum_of_products, so a bracket gathers all its parts and calls _summed
+# once.  A gatherer's weight scales its whole operation.
+
+
 def _summed(n, degree, gathered):
     """The form whose coefficient on each key is the sum of the products
     gathered under it (see :func:`sum_of_products`)."""
@@ -192,21 +203,32 @@ def _summed(n, degree, gathered):
     return AtiyahForm._raw(n, degree, out)
 
 
-def contract(delta, omega):
-    """Interior product: feed the derivation into the first slot."""
-    omega = as_form(omega)
-    n = omega.n
-    if omega.degree == 0:
-        return AtiyahForm.zero(n, 0)
-    gathered = {}
+def _gather_contract(gathered, delta, omega, weight=1):
+    """Gather ``weight * contract(delta, omega)``."""
+    coeffs = (*delta.symbol_coeffs, delta.endo)
     for key, value in omega.coeffs.items():
         for pos, t in enumerate(key):
-            c = delta.coefficient(t)
-            if c.is_zero():
-                continue
-            rest = key[:pos] + key[pos + 1 :]
-            gathered.setdefault(rest, []).append(((-1) ** pos, c, value))
-    return _summed(n, omega.degree - 1, gathered)
+            c = coeffs[t]
+            if not c.is_zero():
+                gathered.setdefault(key[:pos] + key[pos + 1 :], []).append(
+                    (-weight if pos & 1 else weight, c, value)
+                )
+
+
+def contract(delta, omega):
+    """Interior product: feed the derivation into the first slot.
+
+    The result is kept on ``delta`` (see :class:`~omnilie.gauge.Derivation`)."""
+    omega = as_form(omega)
+    if omega.degree == 0:
+        return AtiyahForm.zero(omega.n, 0)
+    return remembered(delta, omega, (omega,), _contract)
+
+
+def _contract(delta, omega):
+    gathered = {}
+    _gather_contract(gathered, delta, omega)
+    return _summed(omega.n, omega.degree - 1, gathered)
 
 
 def evaluate(omega, *derivations):
@@ -221,16 +243,10 @@ def evaluate(omega, *derivations):
     return omega.scalar()
 
 
-def differential(omega):
-    """Cochain differential with respect to the tautological action.
-
-    On basis tuples the commutator terms vanish, so the coefficient on
-    an index set T is the alternating sum of basis actions on the
-    coefficients of the facets of T.
-    """
-    omega = as_form(omega)
+def _gather_differential(gathered, omega, weight=1):
+    """Gather ``weight * differential(omega)``: no products, one lone term
+    per basis action on a coefficient."""
     n = omega.n
-    gathered = {}
     for key, value in omega.coeffs.items():
         for t in range(n + 1):
             merged = _merge_index(key, t)
@@ -239,26 +255,32 @@ def differential(omega):
             sign, full = merged
             acted = _basis_action(n, t, value)
             if not acted.is_zero():
-                gathered.setdefault(full, []).append((sign, acted, None))
-    return _summed(n, omega.degree + 1, gathered)
+                gathered.setdefault(full, []).append((sign * weight, acted, None))
 
 
-def lie_derivative(delta, omega):
-    """Lie derivative along a derivation, by its defining formula.
+def differential(omega):
+    """Cochain differential with respect to the tautological action.
 
-    Acts on the coefficient and subtracts the terms where a basis slot
-    is replaced by its bracket with delta.  The Cartan identity against
-    contraction and the differential is asserted by the property suite,
-    not used here.
+    On basis tuples the commutator terms vanish, so the coefficient on
+    an index set T is the alternating sum of basis actions on the
+    coefficients of the facets of T.
     """
     omega = as_form(omega)
-    n = omega.n
-    if omega.degree == 0:
-        return AtiyahForm.from_scalar(delta.apply(omega.scalar()))
-    brackets = _basis_brackets(delta)
     gathered = {}
+    _gather_differential(gathered, omega)
+    return _summed(omega.n, omega.degree + 1, gathered)
+
+
+def _gather_lie_derivative(gathered, delta, omega):
+    """Gather ``lie_derivative(delta, omega)``."""
+    n = omega.n
+    brackets = _basis_brackets(delta) if omega.degree else ()
     for key in index_subsets(n, omega.degree):
-        terms = gathered[key] = delta.apply_terms(omega.coefficient(key))
+        value = omega.coeffs.get(key)
+        terms = None
+        if value is not None:
+            terms = gathered.setdefault(key, [])
+            terms.extend(delta.apply_terms(value))
         for pos, t in enumerate(key):
             repl = brackets[t]
             if repl is None:
@@ -275,10 +297,25 @@ def lie_derivative(delta, omega):
                 value = omega.coeffs.get(source)
                 if value is None:
                     continue
+                if terms is None:
+                    terms = gathered.setdefault(key, [])
                 # e_u sits in slot pos; sorting it home costs sign * (-1)**pos,
                 # and the bracket term is subtracted
                 terms.append((-sign * (-1) ** pos, cu, value))
-    return _summed(n, omega.degree, gathered)
+
+
+def lie_derivative(delta, omega):
+    """Lie derivative along a derivation, by its defining formula.
+
+    Acts on the coefficient and subtracts the terms where a basis slot
+    is replaced by its bracket with delta.  The Cartan identity against
+    contraction and the differential is asserted by the property suite,
+    not used here.
+    """
+    omega = as_form(omega)
+    gathered = {}
+    _gather_lie_derivative(gathered, delta, omega)
+    return _summed(omega.n, omega.degree, gathered)
 
 
 def _basis_brackets(delta):

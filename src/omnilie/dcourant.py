@@ -17,16 +17,20 @@ from .errors import OrderMismatch, TwistArityError
 from .gauge import Derivation, commutator, random_derivation
 from .atiyah import (
     AtiyahForm,
+    _gather_contract,
+    _gather_differential,
+    _gather_lie_derivative,
+    _summed,
     as_form,
     contract,
     differential,
-    evaluate,
     index_subsets,
-    lie_derivative,
     random_form,
 )
 from .sampling import Family
-from .scalar import Scalar, random_polynomial, sum_of_products
+from .scalar import random_polynomial, sum_of_products
+
+HALF, QUARTER = Fraction(1, 2), Fraction(1, 4)
 
 
 class DSection:
@@ -102,26 +106,38 @@ def _check_twist(twist, p, n):
 def pairing(e1, e2):
     """Symmetric pairing: contract each derivation into the other form."""
     _check_orders(e1, e2)
-    return contract(e1.der, e2.form) + contract(e2.der, e1.form)
+    if e1.p == 0:
+        return AtiyahForm.zero(e1.n, 0)
+    gathered = {}
+    _gather_contract(gathered, e1.der, e2.form)
+    _gather_contract(gathered, e2.der, e1.form)
+    return _summed(e1.n, e1.p - 1, gathered)
+
+
+def _dorfman_terms(e1, e2, twist):
+    """The products of the bracket's form, L_D1 a2 - i_D2 d a1 - i_D2 i_D1 H,
+    gathered under their keys."""
+    _check_orders(e1, e2)
+    _check_twist(twist, e1.p, e1.n)
+    gathered = {}
+    _gather_lie_derivative(gathered, e1.der, e2.form)
+    _gather_contract(gathered, e2.der, differential(e1.form), -1)
+    if twist is not None:
+        _gather_contract(gathered, e2.der, contract(e1.der, twist), -1)
+    return gathered
 
 
 def dorfman(e1, e2, twist=None):
     """The (non-skew) bracket; optionally twisted by a degree-3 form at order 1."""
-    _check_orders(e1, e2)
-    _check_twist(twist, e1.p, e1.n)
-    form = lie_derivative(e1.der, e2.form) - contract(
-        e2.der, differential(e1.form)
-    )
-    if twist is not None:
-        form = form - contract(e2.der, contract(e1.der, twist))
+    form = _summed(e1.n, e1.p, _dorfman_terms(e1, e2, twist))
     return DSection(commutator(e1.der, e2.der), form)
 
 
 def courant(e1, e2, twist=None):
     """Skew-symmetrization: the bracket minus half the differential of the pairing."""
-    rough = dorfman(e1, e2, twist)
-    correction = differential(pairing(e1, e2)).scale(Fraction(1, 2))
-    return DSection(rough.der, rough.form - correction)
+    gathered = _dorfman_terms(e1, e2, twist)
+    _gather_differential(gathered, pairing(e1, e2), -HALF)
+    return DSection(commutator(e1.der, e2.der), _summed(e1.n, e1.p, gathered))
 
 
 def script_D(s):
@@ -192,18 +208,24 @@ class LCourantStructure:
                 - 1/2 H(D1, D2, D3)
 
         for any twist H, closed or not, so no bracket, Lie derivative or
-        differential is built.
+        differential is built: T is one sum of products, after one sum for
+        each f23 - f32.
         """
-        flows, brackets = [], Scalar.zero(self.n)
+        n = self.n
+        gathered = {(): []}
         for a, b, c in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
-            f = contract(c.der, b.form).scalar() - contract(b.der, c.form).scalar()
-            flows += a.der.apply_terms(f)
+            flow = {}
+            _gather_contract(flow, c.der, b.form)
+            _gather_contract(flow, b.der, c.form, -1)
+            f = sum_of_products(n, flow.get((), []))
+            if not f.is_zero():
+                gathered[()] += a.der.apply_terms(f, QUARTER)
             if not a.form.is_zero():
-                brackets = brackets + contract(commutator(b.der, c.der), a.form).scalar()
-        total = sum_of_products(self.n, flows) * Fraction(1, 4) + brackets * Fraction(1, 2)
+                _gather_contract(gathered, commutator(b.der, c.der), a.form, HALF)
         if self.twist is not None:
-            total = total - evaluate(self.twist, e1.der, e2.der, e3.der) * Fraction(1, 2)
-        return total
+            inner = contract(e2.der, contract(e1.der, self.twist))
+            _gather_contract(gathered, e3.der, inner, -HALF)
+        return sum_of_products(n, gathered[()])
 
     def random_section(self, rng, max_degree, coeff_bound):
         return random_section(self.n, 1, rng, max_degree, coeff_bound)

@@ -11,19 +11,26 @@ central for the commutator.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import is_
 
 from .scalar import Scalar, random_polynomial, sum_of_products
 
 
 class Derivation:
-    """A first-order differential operator on sections: (symbol, endo)."""
+    """A first-order differential operator on sections: (symbol, endo).
 
-    __slots__ = ("n", "symbol_coeffs", "endo")
+    ``_memo`` is None or a dict of the results of the :func:`commutator`
+    with a derivation and the :func:`~omnilie.atiyah.contract` into a
+    form (see :func:`remembered`).  Instances are immutable.
+    """
+
+    __slots__ = ("n", "symbol_coeffs", "endo", "_memo")
 
     def __init__(self, symbol_coeffs, endo):
         self.symbol_coeffs = tuple(symbol_coeffs)
         self.endo = endo
         self.n = endo.nvars
+        self._memo = None
         if len(self.symbol_coeffs) != self.n:
             raise ValueError("symbol coefficient count must equal the variable count")
 
@@ -63,19 +70,19 @@ class Derivation:
 
     __call__ = apply
 
-    def apply_terms(self, s):
-        """The products whose sum is ``apply(s)``, as ``(sign, a, b)``
-        triples for :func:`sum_of_products`."""
-        return [(1, self.endo, s), *self.symbol_terms(s)]
+    def apply_terms(self, s, weight=1):
+        """The products whose sum is ``weight * apply(s)``, as ``(weight,
+        a, b)`` triples for :func:`sum_of_products`."""
+        return [(weight, self.endo, s), *self.symbol_terms(s, weight)]
 
     def symbol_apply(self, f):
         """Act on a function by the symbol alone (no multiplication part)."""
         return sum_of_products(self.n, self.symbol_terms(f))
 
-    def symbol_terms(self, f, sign=1):
-        """The products whose sum is ``sign * symbol_apply(f)``."""
+    def symbol_terms(self, f, weight=1):
+        """The products whose sum is ``weight * symbol_apply(f)``."""
         return [
-            (sign, a, f.derive(i + 1))
+            (weight, a, f.derive(i + 1))
             for i, a in enumerate(self.symbol_coeffs)
             if not a.is_zero()
         ]
@@ -94,7 +101,10 @@ class Derivation:
     def __sub__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        return self + (-other)
+        return Derivation(
+            tuple(a - b for a, b in zip(self.symbol_coeffs, other.symbol_coeffs)),
+            self.endo - other.endo,
+        )
 
     def __neg__(self):
         return Derivation(
@@ -137,8 +147,39 @@ def symbol(delta):
     return delta.symbol_coeffs
 
 
+def remembered(delta, other, parts, compute):
+    """``compute(delta, other)``, kept in ``delta._memo`` under ``id(other)``.
+
+    ``parts`` is a tuple of the immutable objects of ``other`` that the
+    result depends on, none of them a derivation.  The entry holds them
+    and is used only while ``other`` is made of the very same objects, so
+    an id reused after ``other`` died misses unless its new owner is made
+    of them too.  An entry holds no derivation: one derivation held by
+    another's entry would tie a case's derivations into cycles (the
+    3-bracket keeps [D1, D2] on D1, [D2, D3] on D2 and [D3, D1] on D3)
+    that outlive the case until the cyclic collector runs.  The entries
+    die with ``delta``.
+    """
+    memo = delta._memo
+    if memo is None:
+        memo = delta._memo = {}
+    else:
+        entry = memo.get(id(other))
+        if entry is not None and all(map(is_, entry[0], parts)):
+            return entry[1]
+    result = compute(delta, other)
+    memo[id(other)] = (parts, result)
+    return result
+
+
 def commutator(d1, d2):
-    """Commutator of derivations: ([X, Y], X(g) - Y(f)) for (X, f), (Y, g)."""
+    """Commutator of derivations: ([X, Y], X(g) - Y(f)) for (X, f), (Y, g).
+
+    The result is kept on ``d1`` (see :class:`Derivation`)."""
+    return remembered(d1, d2, (d2.symbol_coeffs, d2.endo), _commutator)
+
+
+def _commutator(d1, d2):
     n = d1.n
 
     def component(g, f):

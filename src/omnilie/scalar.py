@@ -822,30 +822,77 @@ def _monic(num, den):
 
 
 def sum_of_products(n, terms):
-    """The scalar sum of ``sign * a * b`` over ``(sign, a, b)`` triples of
-    scalars in n variables, sign +1 or -1; ``b`` None stands for 1.
+    """The scalar sum of ``c * a * b`` over ``(c, a, b)`` triples of
+    scalars in n variables, ``c`` a nonzero int or Fraction; ``b`` None
+    stands for 1.
 
-    The form operations gather each output coefficient's products here.
-    When every scalar is a polynomial, the products are added into one
-    dict of packed monomials over a common integer denominator, so one
-    Polynomial and one Scalar are built per sum, not one per product and
-    per partial sum: the sum-of-products accumulation of Monagan and
-    Pearce (ISSAC 2009).  Any other input takes the Scalar arithmetic.
+    The form operations and the brackets gather each output coefficient's
+    products here.  One pass over the triples collects the nonzero
+    polynomial products, the lcm ``den`` of their denominators (a
+    Fraction weight's denominator included), the largest degree ``top``
+    of a term and the count ``work`` of coefficient products, and raises
+    DegreeOverflow at a product past ``MAX_DEGREE`` even if it cancels.
+    _add_products then adds them into one dict of packed monomials over
+    ``den``, so one Polynomial and one Scalar are built per sum, not one
+    per product and per partial sum: the sum-of-products accumulation of
+    Monagan and Pearce (ISSAC 2009).  A true quotient among the scalars
+    sends the whole sum through the Scalar arithmetic.
     """
-    if len(terms) == 1 and terms[0][2] is None:
-        sign, a, _ = terms[0]
-        return a if sign > 0 else -a
+    if len(terms) == 1 and terms[0][2] is None and terms[0][0] in (1, -1):
+        c, a, _ = terms[0]
+        return a if c > 0 else -a
     unit = _units(n)[1]
-    for _, a, b in terms:
-        if a.den is not unit or (b is not None and b.den is not unit):
+    shift = n * _BITS
+    limit = (MAX_DEGREE + 1) << shift
+    den = 1
+    top = work = 0  # top: the largest packed key of a term
+    prods = []
+    for c, a, b in terms:
+        if a.den is not unit:
             break
+        p = a.num
+        ta = p.terms
+        if b is None:
+            if not ta:
+                continue
+            q = None
+            d = p.den
+            k = max(ta)
+        else:
+            if b.den is not unit:
+                break
+            q = b.num
+            tb = q.terms
+            if not ta or not tb:
+                continue
+            k = max(ta) + max(tb)
+            if k >= limit:
+                raise DegreeOverflow(
+                    f"product of total degree {k >> shift} is above the limit {MAX_DEGREE}"
+                )
+            d = p.den * q.den
+            work += len(ta) * len(tb)
+        if type(c) is not int:
+            d *= c.denominator
+            c = c.numerator
+        if k > top:
+            top = k
+        if d != den and den % d:
+            den *= d // gcd(den, d)
+        prods.append((c, p, q, d))
     else:
-        return Scalar._canonical(_polynomial_sum_of_products(n, terms), unit)
+        acc = _add_products(n, prods, den, top >> shift, work)
+        if not acc:
+            return Scalar.zero(n)
+        return Scalar._canonical(Polynomial._reduced(n, acc, den), unit)
     total = None
-    for sign, a, b in terms:
+    for c, a, b in terms:
         term = a if b is None else a * b
-        if sign < 0:
+        if c == -1:
             term = -term
+        elif c != 1:
+            # a rational multiple of a canonical quotient is canonical
+            term = Scalar._canonical(term.num.scale(c), term.den)
         total = term if total is None else total + term
     return Scalar.zero(n) if total is None else total
 
@@ -860,52 +907,11 @@ _KRONECKER_WORK = 256
 _SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _polynomial_sum_of_products(n, terms):
-    # The numerator of sum_of_products when every den is the shared unit,
-    # over ``den``, the lcm of the denominators.  One pass collects the
-    # nonzero terms, ``den``, the largest degree ``top`` of a term and the
-    # count ``work`` of coefficient products; _add_products adds them up.
-    shift = n * _BITS
-    limit = (MAX_DEGREE + 1) << shift
-    den = 1
-    top = work = 0  # top: the largest packed key of a term
-    prods = []
-    for sign, a, b in terms:
-        p = a.num
-        ta = p.terms
-        if not ta:
-            continue
-        if b is None:
-            q = None
-            d = p.den
-            k = max(ta)
-        else:
-            q = b.num
-            tb = q.terms
-            if not tb:
-                continue
-            k = max(ta) + max(tb)
-            if k >= limit:
-                raise DegreeOverflow(
-                    f"product of total degree {k >> shift} is above the limit {MAX_DEGREE}"
-                )
-            d = p.den * q.den
-            work += len(ta) * len(tb)
-        if k > top:
-            top = k
-        if d != den and den % d:
-            den *= d // gcd(den, d)
-        prods.append((sign, p, q, d))
-    acc = _add_products(n, prods, den, top >> shift, work)
-    if not acc:
-        return _units(n)[0]
-    return Polynomial._reduced(n, acc, den)
-
-
 def _add_products(n, prods, den, top, work):
     """The dict of the nonzero terms of ``sum sign * (den / d) * p * q``
-    over ``(sign, p, q, d)`` in ``prods``, polynomials ``p`` and ``q`` (q
-    None for 1) of degree <= top making ``work`` coefficient products.
+    over ``(sign, p, q, d)`` in ``prods``, ``sign`` any nonzero integer,
+    polynomials ``p`` and ``q`` (q None for 1) of degree <= top making
+    ``work`` coefficient products.
 
     A large dense sum whose coefficients fit a slot takes _kronecker_sum;
     any other sum is added up term by term in a dict of packed monomials.
@@ -946,9 +952,9 @@ def _slot_width(prods, den):
     """The narrowest slot width that holds a sign bit and a bound on every
     input and output coefficient of the sum, or 0 past 64 bits."""
     bound = 0
-    for _, p, q, d in prods:
+    for sign, p, q, d in prods:
         ta = p.terms
-        c = (den // d) * max(map(abs, ta.values()))
+        c = abs(sign) * (den // d) * max(map(abs, ta.values()))
         if q is not None:
             tb = q.terms
             c *= max(map(abs, tb.values())) * min(len(ta), len(tb))

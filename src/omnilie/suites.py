@@ -171,7 +171,6 @@ def default_twist(ctx):
 
 def atiyah_calculus(ctx):
     n = ctx.n
-    unit = Derivation.unit(n)
     bounds = (ctx.max_degree, ctx.coeff_bound)
 
     def draw(rng, case):
@@ -182,6 +181,8 @@ def atiyah_calculus(ctx):
         return degree, w, D, E, random_polynomial(n, rng, *bounds)
 
     def checks(degree, w, D, E, s):
+        # a unit of its own per case: a derivation keeps its contractions
+        unit = Derivation.unit(n)
         dw, lie_w = differential(w), lie_derivative(D, w)
         out = {
             "d-squared": differential(dw),

@@ -26,33 +26,30 @@ def cli_env():
 @pytest.fixture
 def count_operations(monkeypatch):
     """Start counting as the benchmark's tracer counts: multiplies,
-    coefficient products and gcd calls.  The products that
-    `sum_of_products` adds up in one dict are coefficient products too,
-    but no multiply.  Returns the live counts."""
+    coefficient products and gcd calls.  Every coefficient product is
+    made in the lane's accumulator `_add_products`, which receives their
+    count; the products of a `sum_of_products` are no multiply.  Returns
+    the live counts."""
     from omnilie import scalar
 
     def start():
         counts = {"poly_mul": 0, "coeff_products": 0, "gcd": 0}
-        mul, gcd = scalar.Polynomial.__mul__, scalar.poly_gcd
-        fused = scalar._polynomial_sum_of_products
+        mul, add, gcd = scalar.Polynomial.__mul__, scalar._add_products, scalar.poly_gcd
 
         def counted_mul(a, b):
             counts["poly_mul"] += 1
-            counts["coeff_products"] += len(a.terms) * len(b.terms)
             return mul(a, b)
 
-        def counted_fused(n, terms):
-            counts["coeff_products"] += sum(
-                len(a.num.terms) * len(b.num.terms) for _, a, b in terms if b is not None
-            )
-            return fused(n, terms)
+        def counted_add(n, prods, den, top, work):
+            counts["coeff_products"] += work
+            return add(n, prods, den, top, work)
 
         def counted_gcd(f, g):
             counts["gcd"] += 1
             return gcd(f, g)
 
         monkeypatch.setattr(scalar.Polynomial, "__mul__", counted_mul)
-        monkeypatch.setattr(scalar, "_polynomial_sum_of_products", counted_fused)
+        monkeypatch.setattr(scalar, "_add_products", counted_add)
         monkeypatch.setattr(scalar, "poly_gcd", counted_gcd)
         return counts
 

@@ -185,3 +185,24 @@ def test_injectivity_of_degree_zero_differential():
     for _ in range(10):
         s = random_polynomial(2, rng, 2, 3)
         assert contract(unit, differential(s)).scalar() == s
+
+
+def test_forms_and_derivations_subtract_without_negating(monkeypatch):
+    # Each coefficient is subtracted with Scalar.__sub__; only a key that
+    # the first operand lacks needs a negation.
+    from omnilie.scalar import Scalar
+
+    rng = random.Random(30)
+    f, g = (random_form(3, 2, rng, 2, 3) for _ in range(2))
+    d1, d2 = (random_derivation(3, rng, 2, 3) for _ in range(2))
+    assert set(f.coeffs) == set(g.coeffs)
+    expected = f + (-g), d1 + (-d2)
+
+    def forbidden(self):
+        raise AssertionError("a coefficient was negated")
+
+    monkeypatch.setattr(Scalar, "__neg__", forbidden)
+    assert (f - g, d1 - d2) == expected
+    monkeypatch.undo()
+    lone = AtiyahForm.basis(3, (0, 1))
+    assert lone - g == lone + (-g) and AtiyahForm.zero(3, 1) - g == -g

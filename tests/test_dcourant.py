@@ -1,11 +1,22 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omnilie.errors import OrderMismatch, TwistArityError
-from omnilie.gauge import Derivation, random_derivation
-from omnilie.atiyah import AtiyahForm, contract, differential, evaluate, primitive, random_form
+from omnilie.gauge import Derivation, commutator, random_derivation
+from omnilie.atiyah import (
+    AtiyahForm,
+    contract,
+    differential,
+    evaluate,
+    index_subsets,
+    lie_derivative,
+    primitive,
+    random_form,
+)
 from omnilie.dcourant import (
     Connection,
     DSection,
@@ -299,3 +310,174 @@ def test_curvature_is_tensorial():
             structure.skew_bracket(lifted[0], lifted[1]), lifted[2]
         ).scalar()
         assert evaluate(table, *ds) == direct
+
+
+# The brackets gather their parts' products and sum each coefficient once.
+# Their oracles are the definitions composed from the public operations.
+
+
+def _pairing_by_parts(e1, e2):
+    return contract(e1.der, e2.form) + contract(e2.der, e1.form)
+
+
+def _dorfman_by_parts(e1, e2, twist):
+    form = lie_derivative(e1.der, e2.form) - contract(e2.der, differential(e1.form))
+    if twist is not None:
+        form = form - contract(e2.der, contract(e1.der, twist))
+    return DSection(commutator(e1.der, e2.der), form)
+
+
+def _courant_by_parts(e1, e2, twist):
+    rough = _dorfman_by_parts(e1, e2, twist)
+    half_d = differential(_pairing_by_parts(e1, e2)).scale(Fraction(1, 2))
+    return DSection(rough.der, rough.form - half_d)
+
+
+def _trilinear_by_parts(e1, e2, e3, twist):
+    total = Scalar.zero(e1.n)
+    for a, b, c in ((e1, e2, e3), (e2, e3, e1), (e3, e1, e2)):
+        total = total + _pairing_by_parts(_courant_by_parts(a, b, twist), c).scalar()
+    return total * Fraction(1, 6)
+
+
+def _twist(n, kind, rng):
+    """No twist, a closed one (a differential) or, at n = 3, one that is not."""
+    if kind == "closed" and n >= 2:
+        return differential(random_form(n, 2, rng, 1, 2))
+    if kind == "open" and n == 3:
+        twist = random_form(n, 3, rng, 1, 2)
+        assert not differential(twist).is_zero()
+        return twist
+    return None
+
+
+def _quotient_section(e, den):
+    return DSection(e.der.scale(1 / den), e.form.scale(1 / den))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from(["none", "closed", "open"]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_brackets_equal_their_definitions_by_parts(n, p, kind, quotients, seed):
+    rng = random.Random(seed)
+    twist = _twist(n, kind, rng) if p == 1 else None
+    e1, e2, e3 = (random_section(n, p, rng, 2, 2) for _ in range(3))
+    if quotients:
+        # a true quotient takes the Scalar arithmetic, weights included
+        e2 = _quotient_section(e2, Scalar.variable(n, 1) + 2)
+    assert pairing(e1, e2) == _pairing_by_parts(e1, e2)
+    assert dorfman(e1, e2, twist) == _dorfman_by_parts(e1, e2, twist)
+    assert courant(e1, e2, twist) == _courant_by_parts(e1, e2, twist)
+    if p == 1:
+        structure = LCourantStructure("by-parts", n, twist)
+        assert structure.trilinear(e1, e2, e3) == _trilinear_by_parts(e1, e2, e3, twist)
+
+
+@pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (3, 2)])
+def test_a_bracket_sums_each_output_coefficient_once(n, p, monkeypatch):
+    # dorfman's one summation is its output; courant's are the pairing and
+    # its output.  Each sums one lane per key, and no form is added,
+    # subtracted, negated or scaled on the way.
+    from omnilie import atiyah, dcourant
+
+    rng = random.Random(40 + n)
+    twist = differential(random_form(n, 2, rng, 1, 2)) if p == 1 else None
+    e1, e2 = (random_section(n, p, rng, 2, 2) for _ in range(2))
+    lanes, sums = [], []
+    lane, summed = atiyah.sum_of_products, dcourant._summed
+
+    def counted_lane(n, terms):
+        lanes.append(len(terms))
+        return lane(n, terms)
+
+    def counted_summed(n, degree, gathered):
+        before = len(lanes)
+        form = summed(n, degree, gathered)
+        sums.append((degree, len(gathered), len(lanes) - before))
+        return form
+
+    def forbidden(*args):
+        raise AssertionError("a form operation between the bracket's parts")
+
+    monkeypatch.setattr(atiyah, "sum_of_products", counted_lane)
+    monkeypatch.setattr(dcourant, "_summed", counted_summed)
+    for name in ("__add__", "__sub__", "__neg__", "scale"):
+        monkeypatch.setattr(AtiyahForm, name, forbidden)
+    keys = {q: len(index_subsets(n, q)) for q in (p - 1, p)}
+    dorfman(e1, e2, twist)
+    assert sums == [(p, keys[p], keys[p])]
+    sums.clear()
+    courant(e1, e2, twist)
+    assert sums == [(p - 1, keys[p - 1], keys[p - 1]), (p, keys[p], keys[p])]
+
+
+def test_derivations_keep_their_commutators_and_contractions():
+    from omnilie import atiyah, gauge
+
+    rng = random.Random(41)
+    d1, d2 = (random_derivation(3, rng, 2, 2) for _ in range(2))
+    twist = differential(random_form(3, 2, rng, 1, 2))
+    kept = commutator(d1, d2)
+    assert commutator(d1, d2) is kept and kept == gauge._commutator(d1, d2)
+    assert contract(d1, twist) is contract(d1, twist)
+    assert contract(d1, twist) == atiyah._contract(d1, twist)
+    # an id taken over by an operand made of other objects misses, and by
+    # one made of the same objects hits
+    shifted = Derivation(d2.symbol_coeffs, d2.endo + Scalar.variable(3, 1))
+    same = Derivation(d2.symbol_coeffs, d2.endo)
+    for operand in (shifted, same):
+        d1._memo[id(operand)] = d1._memo[id(d2)]
+    assert commutator(d1, shifted) == gauge._commutator(d1, shifted) != kept
+    assert commutator(d1, same) is kept
+    # the entries hold a derivation's parts, never the derivation
+    assert not [p for parts, _ in d1._memo.values() for p in parts if isinstance(p, Derivation)]
+    # forms carry no cache
+    assert not hasattr(twist, "_memo") and not hasattr(twist, "__dict__")
+
+
+def test_kept_results_do_not_keep_a_case_alive():
+    # The 3-bracket takes [D1, D2], [D2, D3] and [D3, D1]: entries holding
+    # their operands would make a cycle that only the cyclic collector
+    # frees.  With it off, the case's objects die with their last name.
+    rng = random.Random(42)
+    twist = differential(random_form(3, 2, rng, 1, 2))
+    structure = LCourantStructure.twisted(twist)
+    gc.disable()
+    try:
+        e1, e2, e3 = (random_section(3, 1, rng, 1, 2) for _ in range(3))
+        structure.trilinear(e1, e2, e3)
+        courant(e2, e1, twist)
+        ids = {id(x) for e in (e1, e2, e3) for x in (e.der, e.form)}
+        assert all(e.der._memo for e in (e1, e2, e3))
+        del e1, e2, e3
+        kinds = (Derivation, AtiyahForm)
+        assert not [x for x in gc.get_objects() if id(x) in ids and isinstance(x, kinds)]
+    finally:
+        gc.enable()
+
+
+def test_suite_level_objects_keep_nothing_of_a_case():
+    # The graph's generators and the twist outlive every case of a suite;
+    # after the cases ran, the generators' entries hold only the twist and
+    # one another.
+    from omnilie.observables import graph_of_form, induced_algebroid_residuals, is_involutive
+
+    omega = AtiyahForm.basis(3, (0, 1, 3))
+    xi = graph_of_form(omega)
+    structure = LCourantStructure.twisted(omega)
+    assert is_involutive(xi, samples=2, seed=1).ok
+    rows = []
+    for family in (induced_algebroid_residuals(xi, 3, seed=2), lcourant_axioms(structure, 3, seed=3)):
+        rows += family.rows(0, family.count)
+    assert rows and all(ok for _, ok, _ in rows)
+    suite_level = [(omega,)]
+    suite_level += [(g.der.symbol_coeffs, g.der.endo) for g in xi.generators]
+    assert all(g.der._memo for g in xi.generators)
+    for g in xi.generators:
+        for parts, _ in g.der._memo.values():
+            assert any(all(a is b for a, b in zip(parts, ok)) for ok in suite_level)

@@ -377,3 +377,54 @@ def test_bracket_graded_skewness_under_permutations():
             triple = structure.random_tuple(3, rng, 1, 2)
             for perm in itertools.permutations(range(3)):
                 assert _permuted_equal(structure, 3, triple, perm)
+
+
+@pytest.mark.parametrize("n, key", [(2, (0, 1)), (2, (0, 1, 2)), (3, (0, 1, 2, 3))])
+def test_rescale_iso_passes_the_morphism_residuals_at_each_order(n, key):
+    # p = 1, 2, 3: phi2 lands in the degree-1 space, scalars at p = 2 and
+    # 1-forms at p = 3; at p = 1 the structures are Lie algebras.
+    xi = graph_of_form(AtiyahForm.basis(n, key))
+    new_xi, morphism = rescale_iso(Fraction(3), xi)
+    source, target = observable_linf(xi), observable_linf(new_xi)
+    if xi.p > 1:
+        assert type(morphism.phi2(None, None)) is type(target.space(1).zero())
+        assert morphism.phi2(None, None) == target.space(1).zero()
+    family = morphism_residuals(morphism, source, target, 3, seed=20)
+    rows = family.rows(0, family.count)
+    labels = {label.split("[")[0] for label, _, _ in rows}
+    assert labels == ({"phi2-skew", "cond1"} if xi.p == 1 else
+                      {"chain", "phi2-skew", "cond1", "cond2", "cond3"})
+    assert all(ok for _, ok, _ in rows)
+
+
+def test_graded_brackets_and_residuals_multiply_by_no_sign(monkeypatch):
+    # kappa(k) and the Koszul signs are +-1: the brackets negate or
+    # subtract, and never multiply a form, derivation or scalar by them.
+    from omnilie.observables import HamiltonianForm
+
+    rng = random.Random(19)
+    graph = observable_linf(graph_of_form(AtiyahForm.basis(3, (0, 1, 2, 3))))
+    tuples = [graph.random_tuple(k, rng, 1, 2, degrees=[0] * k) for k in (2, 3, 4)]
+    tuples.append(graph.random_tuple(3, rng, 1, 2, degrees=[0, 0, 1]))
+    dg = build_dg_leibniz(OMEGA2)
+    triples = [[dg.random_element(d, rng, 1, 2) for d in degrees] for degrees in ([0, 0, 0], [0, 1, 0], [1, 0, 0])]
+
+    def forbidden(*args):
+        raise AssertionError("multiplied by a constant")
+
+    for cls in (AtiyahForm, HamiltonianForm, Derivation):
+        monkeypatch.setattr(cls, "scale", forbidden)
+    mul = Scalar.__mul__
+
+    def no_constant(self, other):
+        if isinstance(other, (int, Fraction)):
+            forbidden()
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", no_constant)
+    monkeypatch.setattr(Scalar, "__rmul__", no_constant)
+    for elems in tuples:
+        assert ge_is_zero(jacobi_residual(graph, elems))
+    for a, b, c in triples:
+        assert ge_is_zero(dg.derivation_residual(a, b))
+        assert ge_is_zero(dg.leibniz_residual(a, b, c))

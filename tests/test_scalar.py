@@ -308,24 +308,31 @@ x1 = Scalar.variable(2, 1)
 
 def _left_to_right(n, terms):
     total = Scalar.zero(n)
-    for sign, a, b in terms:
+    for weight, a, b in terms:
         term = a if b is None else a * b
-        total = total + term if sign > 0 else total - term
+        if abs(weight) != 1:
+            term = term * abs(weight)
+        total = total + term if weight > 0 else total - term
     return total
 
 
+# Weights other than +-1, as the brackets use them (1/2, 1/4) and more.
+WEIGHTS = [2, -3, Fraction(1, 2), Fraction(-1, 4), Fraction(2, 3)]
+
+
 @st.composite
-def product_terms(draw, quotients=False):
-    """(sign, a, b) triples over rational polynomials, optionally with true
-    quotients among them; some draws repeat terms with the other sign, so
-    the sum cancels in part or in full."""
+def product_terms(draw, quotients=False, weights=False):
+    """(weight, a, b) triples over rational polynomials, optionally with
+    true quotients among them and weights other than +-1; some draws
+    repeat terms with the opposite weight, so the sum cancels in part or
+    in full."""
     factor = scalars(max_degree=2)
     if quotients:
         shift = st.integers(min_value=1, max_value=3)
         quotient = st.builds(lambda p, k: p / (x1 + k), scalars(max_degree=1), shift)
         factor = st.one_of(factor, quotient)
     triple = st.tuples(
-        st.sampled_from([1, -1]), factor, st.one_of(st.none(), factor)
+        st.sampled_from([1, -1] + WEIGHTS * weights), factor, st.one_of(st.none(), factor)
     )
     terms = draw(st.lists(triple, max_size=6))
     cancelled = draw(st.lists(st.sampled_from(terms), max_size=3)) if terms else []
@@ -344,6 +351,15 @@ def test_sum_of_products_matches_scalar_arithmetic(terms):
 @settings(max_examples=40, deadline=None)
 @given(product_terms(quotients=True))
 def test_sum_of_products_matches_scalar_arithmetic_on_quotients(terms):
+    assert sum_of_products(2, terms) == _left_to_right(2, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_terms(weights=True), st.booleans())
+def test_sum_of_products_takes_rational_weights(terms, quotients):
+    if quotients:
+        # one true quotient sends the sum through the Scalar arithmetic
+        terms = terms + [(Fraction(-1, 2), x1 / (x1 + 1), x1 + 1)]
     assert sum_of_products(2, terms) == _left_to_right(2, terms)
 
 
@@ -431,6 +447,20 @@ def test_kronecker_sums_match_the_loop_and_scalar_arithmetic(terms):
     assert total.den is _units(3)[1]
 
 
+@settings(max_examples=20, deadline=None)
+@given(dense_product_terms(), st.lists(st.sampled_from(WEIGHTS), min_size=1))
+def test_kronecker_sums_take_rational_weights(terms, weights):
+    # A weight's numerator widens the slot bound and its denominator the
+    # lcm, so a few draws pass 64 bits and take the loop; the test below
+    # pins the weighted bound at each slot width.
+    terms = [(sign * weights[i % len(weights)], a, b) for i, (sign, a, b) in enumerate(terms)]
+    total = sum_of_products(3, terms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_KRONECKER_WORK", float("inf"))
+        looped = sum_of_products(3, terms)
+    assert total == looped == _left_to_right(3, terms)
+
+
 @pytest.mark.parametrize("bits", [16, 24, 32, 64])
 def test_kronecker_slots_hold_coefficients_at_their_bound(bits):
     # 256 equal products c * x1 with c = 2^(bits - 9): the one coefficient
@@ -442,6 +472,18 @@ def test_kronecker_slots_hold_coefficients_at_their_bound(bits):
     for sign in (1, -1):
         with kronecker_sums() as taken:
             assert sum_of_products(3, [(sign, c, x)] * 256) == x * (sign * 2 ** (bits - 1))
+        assert taken == ([3] if bits < 64 else [])
+
+
+@pytest.mark.parametrize("bits", [16, 24, 32, 64])
+def test_kronecker_slots_hold_weighted_coefficients_at_their_bound(bits):
+    # As above with the weight 4 carrying a quarter of the factor: the
+    # slot bound must count the weight's numerator.
+    x = Scalar.variable(3, 1)
+    c = Scalar.from_fraction(3, 2 ** (bits - 11))
+    for weight in (4, -4):
+        with kronecker_sums() as taken:
+            assert sum_of_products(3, [(weight, c, x)] * 256) == x * (weight // 4 * 2 ** (bits - 1))
         assert taken == ([3] if bits < 64 else [])
 
 
