@@ -68,11 +68,13 @@ from .linf import (
     build_three_term,
     build_two_term,
     cohomologous_iso,
+    derivation_residual,
     ge_is_zero,
     injective_graph_morphism,
     jacobi_residual,
     kappa,
     koszul_sign,
+    leibniz_residual,
     morphism_residuals,
     observable_linf,
     perm_signature,

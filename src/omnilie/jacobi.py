@@ -17,13 +17,13 @@ from .errors import NonInvertible, NotClosed
 from .gauge import Derivation, commutator
 from .atiyah import (
     AtiyahForm,
+    _summed,
     contract,
     differential,
     evaluate,
-    lie_derivative,
     random_form,
 )
-from .dcourant import DSection
+from .dcourant import DSection, _dorfman_terms, gauge_auto
 from .observables import Subbundle, is_involutive
 from .sampling import CheckResult, Family
 from .scalar import Scalar, monomials_upto, Polynomial, random_polynomial, sum_of_products
@@ -154,6 +154,20 @@ def _with_derivations(J, sections):
     return [(s, section_derivation(J, s)) for s in sections]
 
 
+def _first_failing_triple(J, omega=None):
+    """The witness ``{"triple", "residual"}`` of the first monomial triple
+    whose Jacobiator, minus ``omega`` on the section derivations when a
+    twist is given, is nonzero; None when there is none."""
+    family = _with_derivations(J, monomial_scalars(J.n, 2))
+    for triple in itertools.product(family, repeat=3):
+        residual = _jacobiator(*triple)
+        if omega is not None:
+            residual = residual - evaluate(omega, *(X for _, X in triple))
+        if not residual.is_zero():
+            return {"triple": [str(s) for s, _ in triple], "residual": str(residual)}
+    return None
+
+
 def is_jacobi(J, samples=10, seed=0):
     """Decide the bracket's Jacobi identity, reporting both routes.
 
@@ -164,18 +178,7 @@ def is_jacobi(J, samples=10, seed=0):
     shared answer; a seeded random sample is also reported.
     """
     n = J.n
-    family = _with_derivations(J, monomial_scalars(n, 2))
-    bracket_ok = True
-    witness = None
-    for triple in itertools.product(family, repeat=3):
-        residual = _jacobiator(*triple)
-        if not residual.is_zero():
-            bracket_ok = False
-            witness = {
-                "triple": [str(s) for s, _ in triple],
-                "jacobiator": str(residual),
-            }
-            break
+    witness = _first_failing_triple(J)
     graph_result = is_involutive(graph(J))
     rng = random.Random(seed)
     random_ok = True
@@ -184,9 +187,9 @@ def is_jacobi(J, samples=10, seed=0):
         if not _jacobiator(*_with_derivations(J, sections)).is_zero():
             random_ok = False
             break
-    ok = bracket_ok and graph_result.ok
+    ok = witness is None and graph_result.ok
     detail = {
-        "bracket_route": bracket_ok,
+        "bracket_route": witness is None,
         "graph_route": graph_result.ok,
         "random_route": random_ok,
     }
@@ -202,40 +205,28 @@ def _check_closed(omega):
         raise NotClosed("the twist must be closed")
 
 
-def _twisted_residual(omega, *pairs):
-    return _jacobiator(*pairs) - evaluate(omega, *(X for _, X in pairs))
-
-
 def twisted_jacobi_residual(J, omega, s1, s2, s3):
     """Cyclic double bracket minus the twist evaluated on the section derivations."""
     _check_closed(omega)
-    return _twisted_residual(omega, *_with_derivations(J, (s1, s2, s3)))
+    pairs = _with_derivations(J, (s1, s2, s3))
+    return _jacobiator(*pairs) - evaluate(omega, *(X for _, X in pairs))
 
 
 def is_twisted_jacobi(J, omega):
     """Exact decision of the twisted condition on the monomial spanning family."""
     _check_closed(omega)
-    family = _with_derivations(J, monomial_scalars(J.n, 2))
-    for triple in itertools.product(family, repeat=3):
-        residual = _twisted_residual(omega, *triple)
-        if not residual.is_zero():
-            return CheckResult(
-                False,
-                "twisted-jacobi",
-                {"triple": [str(s) for s, _ in triple], "residual": str(residual)},
-            )
-    return CheckResult(True, "twisted-jacobi")
+    witness = _first_failing_triple(J, omega)
+    return CheckResult(witness is None, "twisted-jacobi", witness)
 
 
 def twisted_jet_bracket(J, omega, alpha, beta):
-    """Bracket of 1-forms transported through the graph of the sharp map."""
-    sa = sharp(J, alpha)
-    sb = sharp(J, beta)
-    return (
-        lie_derivative(sa, beta)
-        - contract(sb, differential(alpha))
-        - contract(sb, contract(sa, omega))
-    )
+    """Bracket of 1-forms transported through the graph of the sharp map: the
+    form of the twisted Dorfman bracket of (sharp alpha, alpha) and
+    (sharp beta, beta), L_a beta - i_b d alpha - i_b i_a omega with a and
+    b the two sharps, summed once per coefficient."""
+    e1 = DSection(sharp(J, alpha), alpha)
+    e2 = DSection(sharp(J, beta), beta)
+    return _summed(J.n, 1, _dorfman_terms(e1, e2, omega))
 
 
 def jet_algebroid_residuals(J, omega, samples, seed, max_degree=1, coeff_bound=2, tag="jet"):
@@ -321,12 +312,7 @@ def dirac_gauge(xi, b_form):
         raise ValueError("gauge shifts act on order-1 subbundles")
     if not differential(b_form).is_zero():
         raise NotClosed("the gauge form must be closed")
-    return Subbundle(
-        [
-            DSection(g.der, g.form + contract(g.der, b_form))
-            for g in xi.generators
-        ]
-    )
+    return Subbundle([gauge_auto(b_form, g) for g in xi.generators])
 
 
 def span_equal(xi1, xi2):

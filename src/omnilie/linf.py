@@ -34,6 +34,7 @@ from .atiyah import (
 from .dcourant import (
     DSection,
     LCourantStructure,
+    gauge_auto,
     random_section,
     script_D,
 )
@@ -125,31 +126,20 @@ def _scale_payload(x, c):
     return x.scale(c)
 
 
-def _plain_form(payload):
-    """The underlying form of any graded payload kind."""
-    if isinstance(payload, HamiltonianForm):
-        return payload.alpha
-    return as_form(payload)
-
-
-def ge_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a.degree != b.degree:
-        if a.is_zero():
-            return b
-        if b.is_zero():
-            return a
-        raise ValueError("adding graded elements of different degree")
-    return GradedElement(a.degree, a.payload + b.payload)
-
-
-def ge_sub(a, b):
-    if a is not None and b is not None and a.degree == b.degree:
-        return GradedElement(a.degree, a.payload - b.payload)
-    return ge_add(a, None if b is None else GradedElement(b.degree, -b.payload))
+def _signed_sum(terms):
+    """The sum of ``sign * element`` over ``(sign, element)`` pairs of one
+    degree, where a None element is a zero; None when every one is."""
+    acc = None
+    for sign, e in terms:
+        if e is None:
+            continue
+        if acc is None:
+            acc = e if sign > 0 else GradedElement(e.degree, -e.payload)
+        elif sign > 0:
+            acc = GradedElement(acc.degree, acc.payload + e.payload)
+        else:
+            acc = GradedElement(acc.degree, acc.payload - e.payload)
+    return acc
 
 
 def ge_is_zero(a):
@@ -296,7 +286,7 @@ def jacobi_residual(structure, elems):
         )
     degrees = [e.degree for e in elems]
     target = sum(degrees) + n - 3
-    acc = None
+    terms = []
     for i in range(1, n + 1):
         j = n + 1 - i
         if i > structure.arity or j > structure.arity:
@@ -313,7 +303,8 @@ def jacobi_residual(structure, elems):
                 * koszul_sign(perm, degrees)
                 * (-1) ** (i * (j - 1))
             )
-            acc = (ge_add if sign > 0 else ge_sub)(acc, outer)
+            terms.append((sign, outer))
+    acc = _signed_sum(terms)
     if acc is None and 0 <= target < structure.terms:
         return structure.zero_element(target)
     return acc
@@ -595,7 +586,7 @@ def cohomologous_iso(omega, b_form):
     n = omega.n
 
     def phi0(e):
-        return DSection(e.der, e.form + contract(e.der, b_form))
+        return gauge_auto(b_form, e)
 
     def phi1(s):
         return s
@@ -669,75 +660,59 @@ def rescale_iso(lam, xi):
 # ---------------------------------------------------------------------------
 
 
-class DgLeibnizStructure:
-    """Differential plus a left-action bracket with the graded Leibniz rule."""
-
-    def __init__(self, omega):
-        if not differential(omega).is_zero():
-            raise NotClosed("the defining form must be closed")
-        xi = graph_of_form(omega)
-        if linalg.rank(xi._form_matrix()) != omega.n + 1:
-            raise Degenerate("the contraction map must have full rank")
-        self.omega = omega
-        self.xi = xi
-        self.p = omega.degree - 1
-        self._linf = observable_linf(xi)
-        self.spaces = self._linf.spaces
-
-    @property
-    def terms(self):
-        return len(self.spaces)
-
-    def random_element(self, degree, rng, max_degree, coeff_bound):
-        return self._linf.random_element(degree, rng, max_degree, coeff_bound)
-
-    def zero_element(self, degree):
-        return self._linf.zero_element(degree)
-
-    def differential(self, a):
-        if a is None:
-            return None
-        return self._linf.l(1, [a])
-
-    def bracket(self, a, b):
-        """Lie derivative along the first Hamiltonian derivation; zero off degree 0."""
-        if a is None or b is None:
-            return None
-        target = a.degree + b.degree
-        if a.degree != 0:
-            if target >= self.terms:
-                return None
-            return self.zero_element(target)
-        delta = a.payload.ham_der
-        value = lie_derivative(delta, _plain_form(b.payload))
-        if b.degree == 0:
-            return GradedElement(
-                0,
-                HamiltonianForm(
-                    value, commutator(delta, b.payload.ham_der)
-                ),
-            )
-        if b.degree == self.terms - 1 and self.p >= 2:
-            return GradedElement(b.degree, value.scalar())
-        return GradedElement(b.degree, value)
-
-    def derivation_residual(self, a, b):
-        total = self.differential(self.bracket(a, b))
-        da = self.differential(a)
-        if da is not None:
-            total = ge_sub(total, self.bracket(da, b))
-        db = self.differential(b)
-        if db is not None:
-            # the Koszul sign (-1)**|a| of moving the differential past a
-            total = (ge_add if a.degree % 2 else ge_sub)(total, self.bracket(a, db))
-        return total
-
-    def leibniz_residual(self, a, b, c):
-        total = self.bracket(a, self.bracket(b, c))
-        total = ge_sub(total, self.bracket(self.bracket(a, b), c))
-        odd = (a.degree * b.degree) % 2
-        return (ge_add if odd else ge_sub)(total, self.bracket(b, self.bracket(a, c)))
-
-
 def build_dg_leibniz(omega):
-    return DgLeibnizStructure(omega)
+    """The graph's differentials plus a left-action bracket with the graded
+    Leibniz rule: a degree-0 input acts by the Lie derivative along its
+    Hamiltonian derivation, and an input of positive degree brackets to zero.
+    """
+    graph = build_graph_linf(omega)
+    if linalg.rank(graph.space(0).xi._form_matrix()) != omega.n + 1:
+        raise Degenerate("the contraction map must have full rank")
+    top = graph.terms - 1
+
+    def lie(h, b):
+        return lie_derivative(h.ham_der, as_form(b))
+
+    def act(h, k):
+        return HamiltonianForm(lie(h, k.alpha), commutator(h.ham_der, k.ham_der))
+
+    brackets = {degs: fn for degs, fn in graph.brackets.items() if len(degs) == 1}
+    brackets[(0, 0)] = act
+    brackets.update({(0, d): lie for d in range(1, top)})
+    if top >= 1:
+        # the top degree holds scalars
+        brackets[(0, top)] = lambda h, s: lie(h, s).scalar()
+    return LInfinityStructure(f"dg-leibniz[p={omega.degree - 1}]", graph.spaces, 2, brackets)
+
+
+def _bracket(structure, *elems):
+    """``l_k`` of the k inputs, where a None input is a zero."""
+    if None in elems:
+        return None
+    return structure.l(len(elems), elems)
+
+
+def derivation_residual(structure, a, b):
+    """d[a, b] - [da, b] - (-1)**|a| [a, db]."""
+    return _signed_sum(
+        (
+            (1, _bracket(structure, _bracket(structure, a, b))),
+            (-1, _bracket(structure, _bracket(structure, a), b)),
+            # the Koszul sign of moving the differential past a
+            (1 if a.degree % 2 else -1, _bracket(structure, a, _bracket(structure, b))),
+        )
+    )
+
+
+def leibniz_residual(structure, a, b, c):
+    """[a, [b, c]] - [[a, b], c] - (-1)**(|a||b|) [b, [a, c]]."""
+    return _signed_sum(
+        (
+            (1, _bracket(structure, a, _bracket(structure, b, c))),
+            (-1, _bracket(structure, _bracket(structure, a, b), c)),
+            (
+                1 if a.degree * b.degree % 2 else -1,
+                _bracket(structure, b, _bracket(structure, a, c)),
+            ),
+        )
+    )

@@ -66,10 +66,12 @@ from .linf import (
     build_three_term,
     build_two_term,
     cohomologous_iso,
+    derivation_residual,
     drop_bracket,
     injective_graph_morphism,
     jacobi_residual,
     kappa,
+    leibniz_residual,
     morphism_residuals,
     prolongation_morphism,
     rep_homotopy_data,
@@ -647,11 +649,11 @@ def dg_leibniz(ctx):
 
     def checks(a, b, c, hi):
         out = {
-            "derivation-rule": structure.derivation_residual(a, b),
-            "graded-leibniz": structure.leibniz_residual(a, b, c),
+            "derivation-rule": derivation_residual(structure, a, b),
+            "graded-leibniz": leibniz_residual(structure, a, b, c),
         }
         if hi is not None:
-            out["positive-degree-vanishes"] = structure.bracket(hi, b)
+            out["positive-degree-vanishes"] = structure.l(2, [hi, b])
         return out
 
     return [Family("dgl", ctx.samples, draw, checks, seed=ctx.seed)]

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -136,6 +137,35 @@ def test_verify_report_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatc
             _cpus(patch, cpus)
             assert main(["verify", "--scenario", str(scenario), "--report", str(pinned)]) == code
         assert pinned.read_bytes() == default.read_bytes(), overrides
+
+
+WORKLOADS = SCENARIOS.parent / "perfbench" / "workloads"
+
+# The report hashes recorded under ROADMAP "Baseline": the shipped
+# scenario, its linf-oracle suite with l3 dropped, and two benchmark
+# workloads at the shipped seed.  (scenario, changes, exit code, sha256)
+BASELINE_REPORTS = [
+    (SCENARIOS / "all-suites.json", {}, 0,
+     "d58c7227de2e08ae947910f15d1d18b0be24b72444f2fb57045def4955fb5837"),
+    (SCENARIOS / "all-suites.json", {"suites": ["linf-oracle"], "sabotage": "drop-l3"}, 1,
+     "5834fb80400b3272ec400738b430c6ad4fcc42281034bb2ad2fe38e52c20792c"),
+    (WORKLOADS / "dense-n3.json", {"seed": 20240611}, 0,
+     "1d014094fa0afde18589dbdf2a270cb846bcbffd67643e1a65cd930c8d53a67f"),
+    (WORKLOADS / "fraction-field.json", {"seed": 20240611}, 0,
+     "8e4b44e1706aa0b6318fee047eac53907428e28feeecd3754ff27ce0ccd3501e"),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_baseline_reports_reproduce_byte_for_byte(tmp_path, monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    for source, changes, code, digest in BASELINE_REPORTS:
+        scenario = tmp_path / "scenario.json"
+        raw = json.loads(source.read_text(encoding="utf-8"))
+        scenario.write_text(json.dumps({**raw, **changes}), encoding="utf-8")
+        report = tmp_path / "report.json"
+        assert main(["verify", "--scenario", str(scenario), "--report", str(report)]) == code
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == digest, (source.name, changes)
 
 
 def _assert_no_child_left():

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 from omnilie.errors import NonInvertible, NotClosed
 from omnilie import linalg
 from omnilie.gauge import Derivation
-from omnilie.atiyah import AtiyahForm, differential, evaluate, random_form
+from omnilie.atiyah import (
+    AtiyahForm,
+    contract,
+    differential,
+    evaluate,
+    lie_derivative,
+    random_form,
+)
 from omnilie.dcourant import dorfman
 from omnilie.observables import (
     hamiltonian_derivation,
@@ -105,6 +112,10 @@ def test_is_jacobi_routes_agree_and_find_witnesses():
         if not verdict.ok:
             saw_false = True
             assert "witness" in verdict.witness
+            # a zero twist takes the same route to the same first triple
+            twisted = is_twisted_jacobi(J, AtiyahForm.zero(2, 3))
+            assert not twisted.ok
+            assert twisted.witness["triple"] == verdict.witness["witness"]["triple"]
     assert saw_false
 
 
@@ -204,6 +215,41 @@ def test_jet_bracket_algebroid():
             sharp(CONTACT1, al).symbol_apply(f)
         )
         assert lhs == rhs
+
+
+def _three_term_jet_bracket(J, omega, alpha, beta):
+    # the bracket as three forms and two subtractions, kept as the oracle
+    # of twisted_jet_bracket
+    sa = sharp(J, alpha)
+    sb = sharp(J, beta)
+    return (
+        lie_derivative(sa, beta)
+        - contract(sb, differential(alpha))
+        - contract(sb, contract(sa, omega))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twisted_jet_bracket_is_the_three_term_formula(n):
+    rng = random.Random(300 + n)
+    twists = [AtiyahForm.zero(n, 3)]
+    if n >= 2:
+        twists.append(differential(random_form(n, 2, rng, 1, 2)))
+    if n == 3:
+        # not closed: the bracket does not rest on d omega = 0
+        twists.append(AtiyahForm(3, 3, {(0, 1, 3): Scalar.variable(3, 3)}))
+    for omega in twists:
+        entries = {
+            (a, b): random_polynomial(n, rng, 1, 2)
+            for a in range(n + 1)
+            for b in range(a + 1, n + 1)
+        }
+        J = JacobiBiderivation.from_entries(n, entries)
+        for _ in range(3):
+            alpha, beta = (random_form(n, 1, rng, 2, 2) for _ in range(2))
+            assert twisted_jet_bracket(J, omega, alpha, beta) == _three_term_jet_bracket(
+                J, omega, alpha, beta
+            )
 
 
 def test_gauge_jacobi_laws():

@@ -20,12 +20,14 @@ from omnilie.linf import (
     build_three_term,
     build_two_term,
     cohomologous_iso,
+    derivation_residual,
     drop_bracket,
     ge_is_zero,
     injective_graph_morphism,
     jacobi_residual,
     kappa,
     koszul_sign,
+    leibniz_residual,
     morphism_residuals,
     observable_linf,
     perm_signature,
@@ -39,6 +41,7 @@ from omnilie.scalar import Scalar
 from omnilie import linalg
 
 OMEGA2 = AtiyahForm.basis(2, (0, 1, 2))
+OMEGA3 = AtiyahForm.basis(3, (0, 1, 2, 3))
 
 
 def test_unshuffle_counts():
@@ -119,7 +122,7 @@ def test_trilinear_bracket_is_alternating():
     assert structure.l(3, [e1, e1, e2]).payload.is_zero()
 
 
-def built_structures():
+def linf_structures():
     b_closed = differential(random_form(2, 1, random.Random(9), 2, 2))
     return [
         build_two_term(LCourantStructure.omni(2)),
@@ -129,6 +132,11 @@ def built_structures():
         build_graph_linf(OMEGA2),
         anchor_extension_algebra(b_closed),
     ]
+
+
+def built_structures():
+    """Every bracket table: the L-infinity structures and the dg Leibniz ones."""
+    return linf_structures() + [build_dg_leibniz(OMEGA2), build_dg_leibniz(OMEGA3)]
 
 
 @pytest.mark.parametrize("structure", built_structures(), ids=lambda s: s.name)
@@ -168,7 +176,7 @@ def test_sabotaged_structure_fails_at_three_inputs():
     # the oracle sees every bracket; the anchor extension's lone l2 is a
     # Lie bracket, so dropping it leaves the zero structure
     rng = random.Random(20)
-    for intact in built_structures():
+    for intact in linf_structures():
         if intact.name == "anchor-extension":
             continue
         for k in sorted({len(degs) for degs in intact.brackets}):
@@ -327,15 +335,25 @@ def test_dg_leibniz_structure():
         a = structure.random_element(rng.randrange(2), rng, 1, 2)
         b = structure.random_element(rng.randrange(2), rng, 1, 2)
         c = structure.random_element(rng.randrange(2), rng, 1, 2)
-        assert ge_is_zero(structure.derivation_residual(a, b))
-        assert ge_is_zero(structure.leibniz_residual(a, b, c))
+        assert ge_is_zero(derivation_residual(structure, a, b))
+        assert ge_is_zero(leibniz_residual(structure, a, b, c))
         if a.degree > 0:
-            assert ge_is_zero(structure.bracket(a, b))
+            assert ge_is_zero(structure.l(2, [a, b]))
     xi = graph_of_form(OMEGA2)
     x2 = Scalar.variable(2, 2)
     a = GradedElement(0, hamiltonian_form(AtiyahForm(2, 1, {(0,): x2}), xi))
     b = GradedElement(0, hamiltonian_form(AtiyahForm.basis(2, (2,)), xi))
-    assert structure.bracket(a, b).payload.alpha == -AtiyahForm.basis(2, (2,))
+    assert structure.l(2, [a, b]).payload.alpha == -AtiyahForm.basis(2, (2,))
+    # p = 3 has a form-valued middle degree; two draws on every degree triple
+    p3 = build_dg_leibniz(OMEGA3)
+    for degrees in itertools.product(range(p3.terms), repeat=3):
+        for _ in range(2):
+            a, b, c = p3.random_tuple(3, rng, 1, 2, degrees=list(degrees))
+            assert ge_is_zero(derivation_residual(p3, a, b)), degrees
+            assert ge_is_zero(leibniz_residual(p3, a, b, c)), degrees
+    # an input of positive degree acts by zero: no entry starts with one
+    for dg in (structure, p3):
+        assert all(len(degs) == 1 or degs[0] == 0 for degs in dg.brackets)
     with pytest.raises(Degenerate):
         build_dg_leibniz(AtiyahForm.zero(2, 3))
     with pytest.raises(NotClosed):
@@ -426,5 +444,5 @@ def test_graded_brackets_and_residuals_multiply_by_no_sign(monkeypatch):
     for elems in tuples:
         assert ge_is_zero(jacobi_residual(graph, elems))
     for a, b, c in triples:
-        assert ge_is_zero(dg.derivation_residual(a, b))
-        assert ge_is_zero(dg.leibniz_residual(a, b, c))
+        assert ge_is_zero(derivation_residual(dg, a, b))
+        assert ge_is_zero(leibniz_residual(dg, a, b, c))
