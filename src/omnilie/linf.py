@@ -275,7 +275,12 @@ def drop_bracket(structure, k):
 
 
 def jacobi_residual(structure, elems):
-    """The signed double sum of the coherence identity; zero for real structures."""
+    """The signed double sum of the coherence identity; zero for real structures.
+
+    Every table entry lands inside the complex, so when the identity's
+    degree ``sum(degrees) + n - 3`` lies outside it, every term is zero
+    and the residual is None, with no bracket computed.
+    """
     elems = tuple(elems)
     n = len(elems)
     if n < 1:
@@ -286,6 +291,8 @@ def jacobi_residual(structure, elems):
         )
     degrees = [e.degree for e in elems]
     target = sum(degrees) + n - 3
+    if not 0 <= target < structure.terms:
+        return None
     terms = []
     for i in range(1, n + 1):
         j = n + 1 - i
@@ -305,7 +312,7 @@ def jacobi_residual(structure, elems):
             )
             terms.append((sign, outer))
     acc = _signed_sum(terms)
-    if acc is None and 0 <= target < structure.terms:
+    if acc is None:
         return structure.zero_element(target)
     return acc
 

@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from omnilie.errors import NonInvertible, NotClosed
-from omnilie import linalg
+from omnilie import jacobi, linalg
 from omnilie.gauge import Derivation
 from omnilie.atiyah import (
     AtiyahForm,
@@ -27,10 +28,13 @@ from omnilie.jacobi import (
     gauge_jacobi,
     graph,
     is_jacobi,
+    _first_failing_triple,
     _jacobiator,
+    _with_derivations,
     is_twisted_jacobi,
     jacobi_bracket,
     jet_algebroid_residuals,
+    monomial_scalars,
     section_derivation,
     sharp,
     span_equal,
@@ -38,6 +42,7 @@ from omnilie.jacobi import (
     twisted_jet_bracket,
 )
 from omnilie.scalar import Polynomial, Scalar, monomials_upto, random_polynomial
+from omnilie.suites import _random_biderivation
 
 CONTACT1 = JacobiBiderivation.from_closed_form(AtiyahForm.basis(1, (0, 1)))
 
@@ -118,6 +123,105 @@ def test_is_jacobi_routes_agree_and_find_witnesses():
             assert twisted.witness["triple"] == verdict.witness["witness"]["triple"]
     assert saw_false
 
+
+
+def _product_order_triple(J, omega=None):
+    # the walk over all ordered triples, kept as the oracle of the
+    # alternating route
+    family = _with_derivations(J, monomial_scalars(J.n, 2))
+    for triple in itertools.product(family, repeat=3):
+        residual = _jacobiator(*triple)
+        if omega is not None:
+            residual = residual - evaluate(omega, *(X for _, X in triple))
+        if not residual.is_zero():
+            return {"triple": [str(s) for s, _ in triple], "residual": str(residual)}
+    return None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_alternating_triples_find_the_product_order_witness(n):
+    rng = random.Random(40 + n)
+    cases = []
+    for J in [JacobiBiderivation.zero(n)] + [_random_biderivation(n, rng, 2) for _ in range(3)]:
+        closed = differential(random_form(n, 2, rng, 1, 2))
+        cases += [(J, None), (J, AtiyahForm.zero(n, 3)), (J, closed)]
+    if n >= 2:
+        # a bracket that satisfies its nonzero twisted condition
+        shear = AtiyahForm(n, 2, {(1, 2): Scalar.variable(n, 1)})
+        base = JacobiBiderivation.from_entries(n, {(0, 1): Scalar.one(n)})
+        cases.append((gauge_jacobi(base, shear), differential(shear)))
+    witnesses = [_first_failing_triple(J, omega) for J, omega in cases]
+    assert witnesses == [_product_order_triple(J, omega) for J, omega in cases]
+    # in one variable every biderivation is Jacobi and every 3-form zero
+    assert None in witnesses and (n == 1 or any(w is not None for w in witnesses))
+
+
+def test_the_twisted_jacobi_residual_is_alternating():
+    rng = random.Random(47)
+    for n in (2, 3):
+        J = _random_biderivation(n, rng, 2)
+        omega = differential(random_form(n, 2, rng, 1, 2))
+        sections = [random_polynomial(n, rng, 2, 2) for _ in range(3)]
+        p = _with_derivations(J, sections)
+
+        def residual(*pairs):
+            return _jacobiator(*pairs) - evaluate(omega, *(X for _, X in pairs))
+
+        for twisted in (_jacobiator, residual):
+            value = twisted(*p)
+            assert not value.is_zero()
+            assert twisted(p[1], p[0], p[2]) == -value
+            assert twisted(p[0], p[2], p[1]) == -value
+            assert twisted(p[2], p[1], p[0]) == -value
+            assert twisted(p[0], p[0], p[2]).is_zero()
+            assert twisted(p[0], p[1], p[1]).is_zero()
+            assert twisted(p[2], p[1], p[2]).is_zero()
+
+
+def test_the_alternating_route_evaluates_increasing_triples_once(monkeypatch):
+    calls, built = [], []
+
+    def counted_jacobiator(*pairs):
+        calls.append([s for s, _ in pairs])
+        return _jacobiator(*pairs)
+
+    def counted_derivation(J, s):
+        built.append(s)
+        return section_derivation(J, s)
+
+    monkeypatch.setattr(jacobi, "_jacobiator", counted_jacobiator)
+    monkeypatch.setattr(jacobi, "section_derivation", counted_derivation)
+    assert _first_failing_triple(JacobiBiderivation.zero(2)) is None
+    assert len(calls) == 20  # C(6, 3)
+    assert len(built) == 6
+    assert all(len(set(map(str, triple))) == 3 for triple in calls)
+    calls.clear()
+    assert _first_failing_triple(CONTACT1) is None
+    assert len(calls) == 1
+    # each monomial's derivation is built once, on its first use
+    rng = random.Random(48)
+    partial = False
+    for _ in range(6):
+        calls.clear()
+        built.clear()
+        assert _first_failing_triple(_random_biderivation(3, rng, 2)) is not None
+        used = {str(s) for triple in calls for s in triple}
+        assert sorted(map(str, built)) == sorted(used)
+        partial = partial or len(built) < 10
+    assert partial
+
+
+def test_the_random_sample_runs_only_without_a_witness():
+    rng = random.Random(49)
+    outcomes = set()
+    for trial in range(12):
+        detail = is_jacobi(_random_biderivation(2, rng, 2), samples=2, seed=trial).witness
+        assert (detail["random_route"] is None) == ("witness" in detail)
+        outcomes.add(detail["bracket_route"])
+    assert outcomes == {True, False}
+    product = JacobiBiderivation.from_entries(2, {(0, 1): Scalar.one(2)})
+    for J in (CONTACT1, JacobiBiderivation.zero(2), product):
+        assert is_jacobi(J, samples=3, seed=1).witness["random_route"] is True
 
 def test_nondegenerate_two_form_correspondence():
     # evaluating a closed nondegenerate 2-form on section derivations

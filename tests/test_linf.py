@@ -150,6 +150,36 @@ def test_every_table_entry_lands_in_its_degree(structure):
             assert type(fn(*payloads)) is type(out), (degs, structure.name)
 
 
+
+def test_every_table_entry_lands_inside_the_complex():
+    # jacobi_residual returns None before any bracket when the identity's
+    # degree lies outside the complex; that rests on no entry landing there
+    structures = built_structures()
+    structures += [
+        drop_bracket(s, k) for s in structures for k in {len(degs) for degs in s.brackets}
+    ]
+    for structure in structures:
+        for degs in structure.brackets:
+            assert 0 <= sum(degs) + len(degs) - 2 < structure.terms, (structure.name, degs)
+
+
+def test_a_residual_outside_the_complex_computes_no_bracket():
+    outside = 0
+    for structure in built_structures():
+
+        def forbidden(k, elems):
+            raise AssertionError("a bracket was computed")
+
+        structure.l = forbidden
+        for size in range(1, structure.arity + 2):
+            for degrees in itertools.product(range(structure.terms), repeat=size):
+                if 0 <= sum(degrees) + size - 3 < structure.terms:
+                    continue
+                outside += 1
+                tup = [structure.zero_element(d) for d in degrees]
+                assert jacobi_residual(structure, tup) is None
+    assert outside > 0
+
 def _sabotage_witness(intact, k, rng):
     """The first seeded tuple of at most four inputs, in order of size and
     degrees, on which dropping l_k leaves a nonzero residual."""
