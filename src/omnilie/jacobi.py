@@ -14,7 +14,6 @@ strictly increasing triples of the family only.
 from __future__ import annotations
 
 import itertools
-import random
 
 from .errors import NonInvertible, NotClosed
 from .gauge import Derivation, commutator
@@ -157,10 +156,10 @@ def _with_derivations(J, sections):
     return [(s, section_derivation(J, s)) for s in sections]
 
 
-def _first_failing_triple(J, omega=None):
-    """The witness ``{"triple", "residual"}`` of the first monomial triple
-    whose Jacobiator, minus ``omega`` on the section derivations when a
-    twist is given, is nonzero; None when there is none.
+def failing_triple(J, omega=None):
+    """The first monomial triple whose Jacobiator, minus ``omega`` on the
+    section derivations when a twist is given, is nonzero, as
+    ``(sections, residual)``; None when there is none.
 
     The residual is alternating: the Jacobiator of an antisymmetric
     bracket is, and so is a 3-form.  It vanishes when a monomial repeats
@@ -183,41 +182,37 @@ def _first_failing_triple(J, omega=None):
         if omega is not None:
             residual = residual - evaluate(omega, *(X for _, X in triple))
         if not residual.is_zero():
-            return {"triple": [str(s) for s, _ in triple], "residual": str(residual)}
+            return [s for s, _ in triple], residual
     return None
 
 
-def is_jacobi(J, samples=10, seed=0):
+def _triple_witness(found):
+    """The witness ``{"triple", "residual"}`` of a failing triple, or None."""
+    if found is None:
+        return None
+    sections, residual = found
+    return {"triple": [str(s) for s in sections], "residual": str(residual)}
+
+
+def is_jacobi(J):
     """Decide the bracket's Jacobi identity, reporting both routes.
 
-    Route a is exact: the Jacobiator is an alternating trilinear
-    differential operator of order at most two per slot, so it vanishes
-    identically iff it vanishes on all strictly increasing triples of
-    monomials of total degree <= 2.  Route b tests involutivity of the
-    graph.  The verdict is their shared answer.  When route a finds no
-    failing triple, a seeded random sample of ``samples`` triples is also
-    reported as ``random_route``; otherwise the sample is not run and
-    ``random_route`` is None.
+    The bracket route is exact: the Jacobiator is an alternating
+    trilinear differential operator of order at most two per slot, so it
+    vanishes identically iff it vanishes on all strictly increasing
+    triples of monomials of total degree <= 2.  The graph route decides
+    involutivity of the graph.  The verdict is their shared answer; the
+    witness holds both routes' verdicts, plus the first failure's
+    ``witness`` exactly when the verdict is False.
     """
-    n = J.n
-    witness = _first_failing_triple(J)
+    witness = _triple_witness(failing_triple(J))
     graph_result = is_involutive(graph(J))
-    random_ok = None
-    if witness is None:
-        rng = random.Random(seed)
-        draws = ([random_polynomial(n, rng, 2, 2) for _ in range(3)] for _ in range(samples))
-        random_ok = all(_jacobiator(*_with_derivations(J, s)).is_zero() for s in draws)
-    ok = witness is None and graph_result.ok
-    detail = {
-        "bracket_route": witness is None,
-        "graph_route": graph_result.ok,
-        "random_route": random_ok,
-    }
+    detail = {"bracket_route": witness is None, "graph_route": graph_result.ok}
     if witness is not None:
         detail["witness"] = witness
     elif not graph_result.ok:
         detail["witness"] = graph_result.witness
-    return CheckResult(ok, "jacobi", detail)
+    return CheckResult(witness is None and graph_result.ok, "jacobi", detail)
 
 
 def _check_closed(omega):
@@ -235,7 +230,7 @@ def twisted_jacobi_residual(J, omega, s1, s2, s3):
 def is_twisted_jacobi(J, omega):
     """Exact decision of the twisted condition on the monomial spanning family."""
     _check_closed(omega)
-    witness = _first_failing_triple(J, omega)
+    witness = _triple_witness(failing_triple(J, omega))
     return CheckResult(witness is None, "twisted-jacobi", witness)
 
 

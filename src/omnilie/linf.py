@@ -232,6 +232,9 @@ class LInfinityStructure:
         return len(self.spaces)
 
     def space(self, degree):
+        """The space of the given degree; IndexError outside ``0..terms-1``."""
+        if not 0 <= degree < len(self.spaces):
+            raise IndexError(f"{self.name} has no degree {degree}")
         return self.spaces[degree]
 
     def l(self, k, elems):
@@ -248,11 +251,11 @@ class LInfinityStructure:
         return GradedElement(sum(degs) + k - 2, fn(*(e.payload for e in elems)))
 
     def zero_element(self, degree):
-        return GradedElement(degree, self.spaces[degree].zero())
+        return GradedElement(degree, self.space(degree).zero())
 
     def random_element(self, degree, rng, max_degree, coeff_bound):
         return GradedElement(
-            degree, self.spaces[degree].random(rng, max_degree, coeff_bound)
+            degree, self.space(degree).random(rng, max_degree, coeff_bound)
         )
 
     def random_tuple(self, size, rng, max_degree, coeff_bound, degrees=None):

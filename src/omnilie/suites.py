@@ -45,6 +45,7 @@ from .dcourant import (
 from .observables import (
     HamiltonianForm,
     Subbundle,
+    failing_pair,
     graph_of_form,
     hamiltonian_ambiguity,
     hamiltonian_form,
@@ -80,6 +81,7 @@ from .linf import (
 from .jacobi import (
     JacobiBiderivation,
     dirac_gauge,
+    failing_triple,
     find_noninvertible_pair,
     gauge_jacobi,
     graph,
@@ -575,10 +577,7 @@ def observables(ctx):
 
     table = [
         Row("graph-isotropic", lambda: is_isotropic(xi)),
-        Row(
-            "graph-involutive",
-            lambda: is_involutive(xi, samples=3, seed=derive_seed(ctx.seed, "obs-inv")),
-        ),
+        Row("graph-involutive", lambda: is_involutive(xi)),
         Family("obs", ctx.samples, draw, checks, seed=ctx.seed),
         induced_algebroid_residuals(xi, max(3, ctx.samples // 10), ctx.seed, tag="obs-alg"),
     ]
@@ -673,16 +672,17 @@ def jacobi(ctx):
     def draw(rng, case):
         J = _random_biderivation(n, rng, 2)
         s, t, f = (random_polynomial(n, rng, 2, 2) for _ in range(3))
-        return J, s, t, f, derive_seed(ctx.seed, "jac-r", case)
+        return J, s, t, f
 
-    def checks(J, s, t, f, seed):
-        result = is_jacobi(J, samples=2, seed=seed)
-        agree = result.witness["bracket_route"] == result.witness["graph_route"]
+    def checks(J, s, t, f):
+        routes = {
+            "bracket_route": failing_triple(J) is None,
+            "graph_route": failing_pair(graph(J)) is None,
+        }
+        agree = routes["bracket_route"] == routes["graph_route"]
         X = section_derivation(J, s)
         return {
-            "route-agreement": CheckResult(
-                agree, "route-agreement", None if agree else result.witness
-            ),
+            "route-agreement": CheckResult(agree, "route-agreement", None if agree else routes),
             # biderivation property of the induced bracket {s, -} = X
             "biderivation": X(f * t) - f * X(t) - X.symbol_apply(f) * t,
         }
@@ -698,14 +698,8 @@ def jacobi(ctx):
     return [
         Family("jacobi", ctx.samples, draw, checks, seed=ctx.seed),
         Row("contact-bracket-value", contact_value),
-        Row(
-            "contact-is-jacobi",
-            lambda: is_jacobi(contact, samples=3, seed=derive_seed(ctx.seed, "jac-c")),
-        ),
-        Row(
-            "evaluation-orientation-is-jacobi",
-            lambda: is_jacobi(flipped, samples=3, seed=derive_seed(ctx.seed, "jac-f")),
-        ),
+        Row("contact-is-jacobi", lambda: is_jacobi(contact)),
+        Row("evaluation-orientation-is-jacobi", lambda: is_jacobi(flipped)),
     ]
 
 

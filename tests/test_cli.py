@@ -453,6 +453,32 @@ def test_every_traced_target_exists(cli_env):
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_a_traced_verify_on_one_cpu_sees_every_suite(tmp_path, cli_env):
+    # On one CPU the verifier calls each suite's runner in process, so the
+    # runners the tracer swapped in with dataclasses.replace count every case.
+    perfbench = SCENARIOS.parent / "perfbench"
+    env = dict(cli_env, PYTHONPATH=os.pathsep.join([cli_env["PYTHONPATH"], str(perfbench)]))
+    scenario = write_scenario(tmp_path, n=1, suites=["jacobi", "linf-oracle"], samples=1)
+    trace, report = tmp_path / "trace.json", tmp_path / "report.json"
+    code = (
+        "import os, sys, traced_verify\n"
+        "os.sched_setaffinity(0, [min(os.sched_getaffinity(0))])\n"
+        "sys.exit(traced_verify.main(sys.argv[1:]))\n"
+    )
+    argv = [str(trace), "verify", "--scenario", str(scenario), "--report", str(report)]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(trace.read_text(encoding="utf-8"))
+    assert traced["untraced"] == []
+    cases = {}
+    for entry in json.loads(report.read_text(encoding="utf-8"))["results"]:
+        cases[entry["suite"]] = cases.get(entry["suite"], 0) + 1
+    assert traced["suite_cases"] == cases == {"jacobi": 5, "linf-oracle": 13}
+
+
 def test_the_readme_quick_tour_prints_what_it_shows(cli_env):
     readme = (SCENARIOS.parent / "README.md").read_text(encoding="utf-8")
     tour = readme.split("## Library quick tour", 1)[1]

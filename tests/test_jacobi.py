@@ -24,12 +24,13 @@ from omnilie.observables import (
 from omnilie.jacobi import (
     JacobiBiderivation,
     dirac_gauge,
+    failing_triple,
     find_noninvertible_pair,
     gauge_jacobi,
     graph,
     is_jacobi,
-    _first_failing_triple,
     _jacobiator,
+    _triple_witness,
     _with_derivations,
     is_twisted_jacobi,
     jacobi_bracket,
@@ -93,14 +94,15 @@ def graph_of_contact():
 
 
 def test_is_jacobi_verdicts():
-    assert is_jacobi(CONTACT1, samples=3, seed=1).ok
-    assert is_jacobi(JacobiBiderivation.zero(2), samples=3, seed=1).ok
+    assert is_jacobi(CONTACT1).ok
+    assert set(is_jacobi(CONTACT1).witness) == {"bracket_route", "graph_route"}
+    assert is_jacobi(JacobiBiderivation.zero(2)).ok
     product = JacobiBiderivation.from_entries(2, {(0, 1): Scalar.one(2)})
-    assert is_jacobi(product, samples=3, seed=1).ok
+    assert is_jacobi(product).ok
     flipped = JacobiBiderivation(
         1, [[-v for v in row] for row in CONTACT1.matrix]
     )
-    assert is_jacobi(flipped, samples=3, seed=2).ok
+    assert is_jacobi(flipped).ok
 
 
 def test_is_jacobi_routes_agree_and_find_witnesses():
@@ -112,8 +114,10 @@ def test_is_jacobi_routes_agree_and_find_witnesses():
             for b in range(a + 1, 3):
                 entries[(a, b)] = random_polynomial(2, rng, 1, 2)
         J = JacobiBiderivation.from_entries(2, entries)
-        verdict = is_jacobi(J, samples=2, seed=trial)
+        verdict = is_jacobi(J)
         assert verdict.witness["bracket_route"] == verdict.witness["graph_route"]
+        routes = {"bracket_route", "graph_route"}
+        assert set(verdict.witness) == (routes if verdict.ok else routes | {"witness"})
         if not verdict.ok:
             saw_false = True
             assert "witness" in verdict.witness
@@ -150,7 +154,7 @@ def test_alternating_triples_find_the_product_order_witness(n):
         shear = AtiyahForm(n, 2, {(1, 2): Scalar.variable(n, 1)})
         base = JacobiBiderivation.from_entries(n, {(0, 1): Scalar.one(n)})
         cases.append((gauge_jacobi(base, shear), differential(shear)))
-    witnesses = [_first_failing_triple(J, omega) for J, omega in cases]
+    witnesses = [_triple_witness(failing_triple(J, omega)) for J, omega in cases]
     assert witnesses == [_product_order_triple(J, omega) for J, omega in cases]
     # in one variable every biderivation is Jacobi and every 3-form zero
     assert None in witnesses and (n == 1 or any(w is not None for w in witnesses))
@@ -191,12 +195,12 @@ def test_the_alternating_route_evaluates_increasing_triples_once(monkeypatch):
 
     monkeypatch.setattr(jacobi, "_jacobiator", counted_jacobiator)
     monkeypatch.setattr(jacobi, "section_derivation", counted_derivation)
-    assert _first_failing_triple(JacobiBiderivation.zero(2)) is None
+    assert failing_triple(JacobiBiderivation.zero(2)) is None
     assert len(calls) == 20  # C(6, 3)
     assert len(built) == 6
     assert all(len(set(map(str, triple))) == 3 for triple in calls)
     calls.clear()
-    assert _first_failing_triple(CONTACT1) is None
+    assert failing_triple(CONTACT1) is None
     assert len(calls) == 1
     # each monomial's derivation is built once, on its first use
     rng = random.Random(48)
@@ -204,24 +208,12 @@ def test_the_alternating_route_evaluates_increasing_triples_once(monkeypatch):
     for _ in range(6):
         calls.clear()
         built.clear()
-        assert _first_failing_triple(_random_biderivation(3, rng, 2)) is not None
+        assert failing_triple(_random_biderivation(3, rng, 2)) is not None
         used = {str(s) for triple in calls for s in triple}
         assert sorted(map(str, built)) == sorted(used)
         partial = partial or len(built) < 10
     assert partial
 
-
-def test_the_random_sample_runs_only_without_a_witness():
-    rng = random.Random(49)
-    outcomes = set()
-    for trial in range(12):
-        detail = is_jacobi(_random_biderivation(2, rng, 2), samples=2, seed=trial).witness
-        assert (detail["random_route"] is None) == ("witness" in detail)
-        outcomes.add(detail["bracket_route"])
-    assert outcomes == {True, False}
-    product = JacobiBiderivation.from_entries(2, {(0, 1): Scalar.one(2)})
-    for J in (CONTACT1, JacobiBiderivation.zero(2), product):
-        assert is_jacobi(J, samples=3, seed=1).witness["random_route"] is True
 
 def test_nondegenerate_two_form_correspondence():
     # evaluating a closed nondegenerate 2-form on section derivations
@@ -286,7 +278,7 @@ def test_spanning_twist_breaks_untwisted_bracket():
     n = 3
     alpha = AtiyahForm(n, 1, {(0,): Scalar.variable(n, 2), (2,): Scalar.one(n)})
     contact3 = JacobiBiderivation.from_closed_form(differential(alpha))
-    assert is_jacobi(contact3, samples=2, seed=8).ok
+    assert is_jacobi(contact3).ok
     spanning = AtiyahForm.basis(n, (0, 1, 3))
     residual = twisted_jacobi_residual(
         contact3,

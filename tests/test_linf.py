@@ -163,6 +163,15 @@ def test_every_table_entry_lands_inside_the_complex():
             assert 0 <= sum(degs) + len(degs) - 2 < structure.terms, (structure.name, degs)
 
 
+@pytest.mark.parametrize("structure", built_structures(), ids=lambda s: s.name)
+def test_a_degree_outside_the_complex_has_no_space(structure):
+    for degree in (-1, structure.terms):
+        with pytest.raises(IndexError):
+            structure.space(degree)
+    with pytest.raises(IndexError):
+        structure.zero_element(-1)
+
+
 def test_a_residual_outside_the_complex_computes_no_bracket():
     outside = 0
     for structure in built_structures():

@@ -5,8 +5,9 @@ import pytest
 
 from omnilie.errors import NotHamiltonian
 from omnilie.gauge import Derivation, commutator
-from omnilie.atiyah import AtiyahForm, contract, differential
-from omnilie.dcourant import DSection
+from omnilie.atiyah import AtiyahForm, contract, differential, random_form
+from omnilie.dcourant import DSection, dorfman
+from omnilie.jacobi import JacobiBiderivation, dirac_gauge, graph
 from omnilie.observables import (
     HamiltonianForm,
     Subbundle,
@@ -23,7 +24,7 @@ from omnilie.observables import (
     random_hamiltonian,
     useful_lemma_residual,
 )
-from omnilie.scalar import Polynomial, Scalar
+from omnilie.scalar import Polynomial, Scalar, random_polynomial
 
 OMEGA2 = AtiyahForm.basis(2, (0, 1, 2))
 
@@ -67,11 +68,41 @@ def test_is_isotropic():
 
 
 def test_is_involutive():
-    assert is_involutive(graph_of_form(OMEGA2), samples=3, seed=1).ok
+    assert is_involutive(graph_of_form(OMEGA2)).ok
     assert is_involutive(full_derivation_subbundle(2, 2)).ok
     bad = graph_of_form(AtiyahForm(3, 3, {(0, 1, 3): Scalar.variable(3, 3)}))
     verdict = is_involutive(bad)
     assert not verdict.ok and verdict.witness is not None
+
+
+def _sampled_involutive(xi, samples, seed, twist=None):
+    # the generator pairs plus seeded random module combinations of the
+    # generators, kept as the oracle of the generator-pair route
+    gens = xi.generators
+    pairs = [(gens[i], gens[j]) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    rng = random.Random(seed)
+    for _ in range(samples):
+        pairs.append((xi.random_element(rng, 1, 2), xi.random_element(rng, 1, 2)))
+    return all(xi.contains(dorfman(a, b, twist)) is not None for a, b in pairs)
+
+
+def test_generator_pairs_decide_involutivity_of_isotropic_subbundles():
+    rng = random.Random(22)
+    cases = [(graph_of_form(OMEGA2), None)]
+    for _ in range(20):
+        J = JacobiBiderivation.from_entries(
+            2, {(a, b): random_polynomial(2, rng, 1, 1) for a in range(3) for b in range(a + 1, 3)}
+        )
+        gauge = differential(random_form(2, 1, rng, 1, 2))
+        for twist in (None, differential(random_form(2, 2, rng, 1, 2))):
+            cases += [(graph(J), twist), (dirac_gauge(graph(J), gauge), twist)]
+    verdicts = set()
+    for seed, (xi, twist) in enumerate(cases):
+        assert is_isotropic(xi).ok
+        verdict = is_involutive(xi, twist=twist).ok
+        assert verdict == _sampled_involutive(xi, 3, seed, twist)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_hamiltonian_derivation_examples():

@@ -281,7 +281,7 @@ def test_counted_operations_match_the_recorded_counts(count_operations):
     counts = count_operations()
     cases = SUITES["jacobi"].runner(ctx)
     assert len(cases) == 5 and all(ok for _, ok, _ in cases)
-    assert counts == {"poly_mul": 44, "coeff_products": 3055, "gcd": 0}
+    assert counts == {"poly_mul": 44, "coeff_products": 2648, "gcd": 0}
 
 
 def test_quotient_rank_matches_the_recorded_counts(count_operations):

@@ -93,8 +93,8 @@ def test_negative_controls_report_witnesses():
 # labels of failing cases only, so its pins cannot catch a relabelled
 # case or a case drawn from other inputs; these can.
 RECORDED_RUNS = {
-    1: (134, "81785cd8332e7d9d3e9442f050fef613e30f26746b5d4a04115e7c86fa57c900", (475, 16649, 9)),
-    2: (198, "7c413298031ca87440bda6012c15e83e54d002908547dc7620a7b0af9655813c", (1576, 65544, 0)),
+    1: (134, "81785cd8332e7d9d3e9442f050fef613e30f26746b5d4a04115e7c86fa57c900", (475, 15997, 9)),
+    2: (198, "7c413298031ca87440bda6012c15e83e54d002908547dc7620a7b0af9655813c", (1486, 64783, 0)),
 }
 
 
