@@ -4,8 +4,12 @@ Order-p sections combine a derivation with a degree-p form.  They carry
 a symmetric form-valued pairing, the (non-skew) Dorfman-Jacobi bracket,
 its skew-symmetrization, an optional closed 3-form twist at order 1,
 gauge transformations by 2-forms, and the connection/curvature calculus
-of the exact structures.  The axiom checker certifies the five bracket
-axioms on seeded random sections and reports witnesses on failure.
+of the exact structures.  An ``LCourantStructure`` is the order-1
+structure of one twist: its bracket, skew bracket and trilinear T read
+the twist, while the pairing, the anchor ``e.der`` and the coboundary
+``script_D`` are the module functions.  The axiom checker certifies the
+five bracket axioms on seeded random sections and reports witnesses on
+failure.
 """
 
 from __future__ import annotations
@@ -160,42 +164,38 @@ def random_section(n, p, rng, max_degree, coeff_bound):
 
 
 class LCourantStructure:
-    """A bracket/pairing/anchor bundle on order-1 sections, optionally twisted."""
+    """The L-Courant structure on order-1 sections, held as its twist.
 
-    __slots__ = ("name", "n", "twist")
+    Its pairing, anchor (``e.der``) and coboundary (``script_D``) are the
+    module's own; the bracket, the skew bracket and the trilinear T are
+    the parts that read the twist, which is None for the untwisted
+    (omni) structure.
+    """
 
-    def __init__(self, name, n, twist=None):
+    __slots__ = ("n", "twist")
+
+    def __init__(self, n, twist=None):
         _check_twist(twist, 1, n)
-        self.name = name
         self.n = n
         self.twist = twist
 
     @classmethod
     def omni(cls, n):
-        return cls("omni", n)
+        return cls(n)
 
     @classmethod
     def twisted(cls, twist):
-        return cls("twisted", twist.n, twist)
+        return cls(twist.n, twist)
 
     @property
-    def p(self):
-        return 1
+    def name(self):
+        return "omni" if self.twist is None else "twisted"
 
     def bracket(self, e1, e2):
         return dorfman(e1, e2, self.twist)
 
     def skew_bracket(self, e1, e2):
         return courant(e1, e2, self.twist)
-
-    def pairing(self, e1, e2):
-        return pairing(e1, e2)
-
-    def anchor(self, e):
-        return e.der
-
-    def coboundary(self, s):
-        return script_D(s)
 
     def trilinear(self, e1, e2, e3):
         """The scalar T = 1/6 sum_cyc <[e1, e2]_C, e3>, in closed form.
@@ -227,31 +227,25 @@ class LCourantStructure:
             _gather_contract(gathered, e3.der, inner, -HALF)
         return sum_of_products(n, gathered[()])
 
-    def random_section(self, rng, max_degree, coeff_bound):
-        return random_section(self.n, 1, rng, max_degree, coeff_bound)
-
     def __repr__(self):
         return f"LCourantStructure({self.name}, n={self.n})"
 
 
 def _axiom_residuals(structure, e1, e2, e3, f):
-    """The five bracket-axiom residuals on a fixed input tuple."""
+    """The five bracket-axiom residuals on a fixed input tuple, with the
+    anchor ``e.der`` and the coboundary ``script_D``."""
     br = structure.bracket
-    pair = structure.pairing
-    anchor1 = structure.anchor(e1)
     b12, b13 = br(e1, e2), br(e1, e3)
     res = {}
     res["LC1"] = br(e1, br(e2, e3)) - br(b12, e3) - br(e2, b13)
-    sym = anchor1.symbol_apply(f)
+    sym = e1.der.symbol_apply(f)
     res["LC2"] = br(e1, e2.scale(f)) - b12.scale(f) - e2.scale(sym)
-    res["LC3"] = commutator(anchor1, structure.anchor(e2)) - structure.anchor(b12)
-    res["LC4"] = br(e1, e1) - structure.coboundary(
-        pair(e1, e1).scalar() * Fraction(1, 2)
-    )
+    res["LC3"] = commutator(e1.der, e2.der) - b12.der
+    res["LC4"] = br(e1, e1) - script_D(pairing(e1, e1).scalar() * HALF)
     res["LC5"] = (
-        as_form(anchor1.apply(pair(e2, e3).scalar()))
-        - pair(b12, e3)
-        - pair(e2, b13)
+        as_form(e1.der.apply(pairing(e2, e3).scalar()))
+        - pairing(b12, e3)
+        - pairing(e2, b13)
     )
     return res
 
@@ -266,10 +260,9 @@ def lcourant_axioms(
     """
 
     def draw(rng, case):
-        e1, e2, e3 = (
-            structure.random_section(rng, max_degree, coeff_bound) for _ in range(3)
-        )
-        return e1, e2, e3, random_polynomial(structure.n, rng, max_degree, coeff_bound)
+        n = structure.n
+        e1, e2, e3 = (random_section(n, 1, rng, max_degree, coeff_bound) for _ in range(3))
+        return e1, e2, e3, random_polynomial(n, rng, max_degree, coeff_bound)
 
     def context(*inputs):
         return {"inputs": [str(x) for x in inputs]}

@@ -48,10 +48,6 @@ class Degenerate(ValueError):
 class NonInvertible(ValueError):
     """A gauge transformation whose defining bundle map has zero determinant."""
 
-    def __init__(self, message, determinant=None):
-        super().__init__(message)
-        self.determinant = determinant
-
 
 class UnknownDemo(KeyError):
     """An unrecognized demo name."""

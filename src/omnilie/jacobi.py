@@ -212,7 +212,7 @@ def is_jacobi(J):
         detail["witness"] = witness
     elif not graph_result.ok:
         detail["witness"] = graph_result.witness
-    return CheckResult(witness is None and graph_result.ok, "jacobi", detail)
+    return CheckResult(witness is None and graph_result.ok, detail)
 
 
 def _check_closed(omega):
@@ -231,7 +231,7 @@ def is_twisted_jacobi(J, omega):
     """Exact decision of the twisted condition on the monomial spanning family."""
     _check_closed(omega)
     witness = _triple_witness(failing_triple(J, omega))
-    return CheckResult(witness is None, "twisted-jacobi", witness)
+    return CheckResult(witness is None, witness)
 
 
 def twisted_jet_bracket(J, omega, alpha, beta):
@@ -293,8 +293,8 @@ def _tilde_matrix(b_form):
 def gauge_jacobi(J, b_form):
     """Transformed biderivation whose graph is the gauge shift of the old graph.
 
-    Raises NonInvertible, carrying the vanishing determinant, when the
-    defining jet-bundle map cannot be inverted.
+    Raises NonInvertible when the defining jet-bundle map cannot be
+    inverted.
     """
     n = J.n
     M = _sharp_matrix(J)
@@ -311,9 +311,7 @@ def gauge_jacobi(J, b_form):
     ]
     inv = linalg.inverse(system)
     if inv is None:
-        raise NonInvertible(
-            "the jet-bundle endomorphism is singular", determinant="0"
-        )
+        raise NonInvertible("the jet-bundle endomorphism is singular")
     new_sharp = linalg.matmul(M, inv)
     matrix = [
         [new_sharp[b][a] for b in range(n + 1)] for a in range(n + 1)

@@ -325,9 +325,9 @@ def jacobi_residual(structure, elems):
 # ---------------------------------------------------------------------------
 
 
-def _pair_with_coboundary(structure, e, s):
+def _pair_with_coboundary(e, s):
     # <e, (0, ds)> = ds(D) = D(s) for the anchor D of e
-    return structure.anchor(e).apply(s) * HALF
+    return e.der.apply(s) * HALF
 
 
 def build_two_term(structure):
@@ -335,10 +335,10 @@ def build_two_term(structure):
     n = structure.n
     spaces = (SectionSpace(n, 1), ScalarSpace(n))
     brackets = {
-        (1,): structure.coboundary,
+        (1,): script_D,
         (0, 0): structure.skew_bracket,
-        (0, 1): lambda e, s: _pair_with_coboundary(structure, e, s),
-        (1, 0): lambda s, e: -_pair_with_coboundary(structure, e, s),
+        (0, 1): _pair_with_coboundary,
+        (1, 0): lambda s, e: -_pair_with_coboundary(e, s),
         (0, 0, 0): lambda a, b, c: -structure.trilinear(a, b, c),
     }
     return LInfinityStructure(f"two-term[{structure.name}]", spaces, 3, brackets)

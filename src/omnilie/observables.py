@@ -104,15 +104,8 @@ def is_isotropic(xi):
         for j in range(i, len(gens)):
             value = pairing(gens[i], gens[j])
             if not value.is_zero():
-                return CheckResult(
-                    False,
-                    "isotropy",
-                    {
-                        "pair": (i, j),
-                        "pairing": str(value),
-                    },
-                )
-    return CheckResult(True, "isotropy")
+                return CheckResult(False, {"pair": (i, j), "pairing": str(value)})
+    return CheckResult(True)
 
 
 def failing_pair(xi, twist=None):
@@ -141,9 +134,9 @@ def is_involutive(xi, twist=None):
     """
     found = failing_pair(xi, twist)
     if found is None:
-        return CheckResult(True, "involutivity")
+        return CheckResult(True)
     pair, bracket = found
-    return CheckResult(False, "involutivity", {"pair": pair, "bracket": str(bracket)})
+    return CheckResult(False, {"pair": pair, "bracket": str(bracket)})
 
 
 def hamiltonian_derivation(alpha, xi):
@@ -320,7 +313,7 @@ def induced_algebroid_residuals(xi, samples, seed, max_degree=1, coeff_bound=2, 
             "skew": ab + dorfman(b, a),
             "jacobi": dorfman(a, dorfman(b, c)) - dorfman(ab, c) - dorfman(b, dorfman(a, c)),
             "leibniz": dorfman(a, b.scale(f)) - ab.scale(f) - b.scale(a.der.symbol_apply(f)),
-            "closure": CheckResult(closed, "closure", None if closed else {"bracket": str(ab)}),
+            "closure": CheckResult(closed, None if closed else {"bracket": str(ab)}),
         }
 
     return Family(tag, samples, draw, checks, seed=seed)

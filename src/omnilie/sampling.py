@@ -17,20 +17,20 @@ import random
 
 
 class CheckResult:
-    """Boolean verdict plus a printable witness for failures."""
+    """Boolean verdict plus a printable witness for failures.  The row that
+    reports it names it: a ``Row``'s label or a check's dict key."""
 
-    __slots__ = ("ok", "label", "witness")
+    __slots__ = ("ok", "witness")
 
-    def __init__(self, ok, label, witness=None):
+    def __init__(self, ok, witness=None):
         self.ok = ok
-        self.label = label
         self.witness = witness
 
     def __bool__(self):
         return self.ok
 
     def __repr__(self):
-        return f"CheckResult({self.ok}, {self.label!r})"
+        return f"CheckResult({self.ok})"
 
 
 def outcome(label, value, context=None):

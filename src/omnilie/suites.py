@@ -80,6 +80,7 @@ from .linf import (
 )
 from .jacobi import (
     JacobiBiderivation,
+    _check_closed,
     dirac_gauge,
     failing_triple,
     find_noninvertible_pair,
@@ -221,7 +222,7 @@ def lcourant_axioms_suite(ctx):
             for case in range(family.count)
             for label, ok, _ in family.rows(case, case + 1)
         )
-        return CheckResult(detected, "nonclosed-twist-detected", {"error": "no LC1 failure found"})
+        return CheckResult(detected, {"error": "no LC1 failure found"})
 
     return [
         axioms("omni", LCourantStructure.omni(ctx.n), "lc-omni"),
@@ -286,7 +287,7 @@ def linf_oracle(ctx):
     def kappa_table():
         expected = {2: 1, 3: -1, 4: -1, 5: 1}
         got = {k: kappa(k) for k in expected}
-        return CheckResult(got == expected, "kappa-table", {"got": got})
+        return CheckResult(got == expected, {"got": got})
 
     return [
         *(f for tag, structure in structures for f in _oracle_families(ctx, structure, tag)),
@@ -299,9 +300,7 @@ def _agreement(a, b):
     same = (a is None and b is None) or (
         a is not None and b is not None and a.payload == b.payload
     )
-    return CheckResult(
-        same, "agreement", None if same else {"two-term": str(a), "semidirect": str(b)}
-    )
+    return CheckResult(same, None if same else {"two-term": str(a), "semidirect": str(b)})
 
 
 def semidirect_agreement(ctx):
@@ -347,7 +346,7 @@ def _injectivity(label, basis, fn, coordinates, n):
                 col += [Scalar.from_fraction(n, s.num.coefficient(mono)) for mono in monos]
             cols.append(col)
         rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
-        return CheckResult(linalg.rank(rows) == len(cols), label, {"error": "kernel found"})
+        return CheckResult(linalg.rank(rows) == len(cols), {"error": "kernel found"})
 
     return Row(label, value)
 
@@ -483,11 +482,9 @@ def cohomologous_iso_suite(ctx):
         residuals = morphism_residuals(
             morphism, source, target, 3, ctx.seed, 1, ctx.coeff_bound, f"coho-res:{case}"
         )
-        out = {label: CheckResult(ok, label, witness) for label, ok, witness in residuals}
+        out = {label: CheckResult(ok, witness) for label, ok, witness in residuals}
         det = linalg.determinant(section_map_matrix(morphism.phi0, n, 1))
-        out["invertible"] = CheckResult(
-            not det.is_zero(), "invertible", {"determinant": str(det)}
-        )
+        out["invertible"] = CheckResult(not det.is_zero(), {"determinant": str(det)})
         inverse = cohomologous_iso(omega + differential(b_form), -b_form)
         out["inverse-composes"] = inverse.phi0(morphism.phi0(e)) - e
         return out
@@ -563,17 +560,13 @@ def observables(ctx):
             "antisymmetry": observable_bracket(a, b) + observable_bracket(b, a),
             "jacobiator": jacobiator_residual(a, b, c),
             "closure": CheckResult(
-                member is not None,
-                "closure",
-                None if member is not None else {"bracket": str(bracket)},
+                member is not None, None if member is not None else {"bracket": str(bracket)}
             ),
         }
 
     def ambiguity_empty():
         ambiguity = hamiltonian_ambiguity(xi)
-        return CheckResult(
-            not ambiguity, "ambiguity-empty", {"basis": [str(d) for d in ambiguity]}
-        )
+        return CheckResult(not ambiguity, {"basis": [str(d) for d in ambiguity]})
 
     table = [
         Row("graph-isotropic", lambda: is_isotropic(xi)),
@@ -606,11 +599,7 @@ def observables(ctx):
     return table + [
         Row(
             "fixture-ambiguity-nonzero",
-            lambda: CheckResult(
-                bool(amb()),
-                "fixture-ambiguity-nonzero",
-                {"error": "expected a nonzero ambiguity basis"},
-            ),
+            lambda: CheckResult(bool(amb()), {"error": "expected a nonzero ambiguity basis"}),
         ),
         Family("obs-fix", max(3, ctx.samples // 5), draw_fixture, fixture_checks, seed=ctx.seed),
     ]
@@ -666,6 +655,20 @@ def _random_biderivation(n, rng, coeff_bound):
     return JacobiBiderivation.from_entries(n, entries)
 
 
+def _route_agreement(J, twist=None):
+    """Whether the bracket route and the graph route decide the (twisted)
+    Jacobi identity of J alike; a disagreement's witness is the two
+    verdicts.  Only the verdicts are read, so no failure is rendered."""
+    if twist is not None:
+        _check_closed(twist)
+    routes = {
+        "bracket_route": failing_triple(J, twist) is None,
+        "graph_route": failing_pair(graph(J), twist) is None,
+    }
+    agree = routes["bracket_route"] == routes["graph_route"]
+    return CheckResult(agree, None if agree else routes)
+
+
 def jacobi(ctx):
     n = ctx.n
 
@@ -675,14 +678,10 @@ def jacobi(ctx):
         return J, s, t, f
 
     def checks(J, s, t, f):
-        routes = {
-            "bracket_route": failing_triple(J) is None,
-            "graph_route": failing_pair(graph(J)) is None,
-        }
-        agree = routes["bracket_route"] == routes["graph_route"]
+        agreement = _route_agreement(J)
         X = section_derivation(J, s)
         return {
-            "route-agreement": CheckResult(agree, "route-agreement", None if agree else routes),
+            "route-agreement": agreement,
             # biderivation property of the induced bracket {s, -} = X
             "biderivation": X(f * t) - f * X(t) - X.symbol_apply(f) * t,
         }
@@ -693,7 +692,7 @@ def jacobi(ctx):
 
     def contact_value():
         value = jacobi_bracket(contact, Scalar.variable(1, 1), Scalar.one(1))
-        return CheckResult(value == -1, "contact-bracket-value", {"got": str(value)})
+        return CheckResult(value == -1, {"got": str(value)})
 
     return [
         Family("jacobi", ctx.samples, draw, checks, seed=ctx.seed),
@@ -711,16 +710,7 @@ def twisted_jacobi(ctx):
         return J, differential(random_form(n, 2, rng, 1, 2))
 
     def checks(J, twist):
-        route_a = is_twisted_jacobi(J, twist).ok
-        route_b = is_involutive(graph(J), twist=twist).ok
-        same = route_a == route_b
-        return {
-            "cross-oracle": CheckResult(
-                same,
-                "cross-oracle",
-                None if same else {"bracket_route": route_a, "graph_route": route_b},
-            )
-        }
+        return {"cross-oracle": _route_agreement(J, twist)}
 
     table = [Family("twj", max(2, ctx.samples // 5), draw, checks, seed=ctx.seed)]
     if n >= 2:
@@ -756,7 +746,7 @@ def twisted_jacobi(ctx):
             Scalar.variable(n3, 3),
         )
         detected = not residual.is_zero()
-        return CheckResult(detected, "spanning-twist-detected", {"error": "residual vanished"})
+        return CheckResult(detected, {"error": "residual vanished"})
 
     return table + [Row("spanning-twist-detected", spanning_twist_detected)]
 
@@ -786,33 +776,28 @@ def gauge(ctx):
         composed = dirac_gauge(dirac_gauge(xi, b1), b2)
         same = span_equal(composed, dirac_gauge(xi, b1 + b2))
         out = {
-            "tau-composes": CheckResult(
-                same, "tau-composes", None if same else {"error": "span mismatch"}
-            ),
+            "tau-composes": CheckResult(same, None if same else {"error": "span mismatch"}),
             "tau-involutive": is_involutive(dirac_gauge(xi, b1)),
         }
         try:
             transformed = gauge_jacobi(base, b1)
         except NonInvertible:
             # singular draw: the graph law is vacuous here
-            out["graph-law"] = CheckResult(True, "graph-law")
+            out["graph-law"] = CheckResult(True)
             return out
         same = span_equal(graph(transformed), dirac_gauge(xi, b1))
-        out["graph-law"] = CheckResult(
-            same, "graph-law", None if same else {"error": "graph mismatch"}
-        )
+        out["graph-law"] = CheckResult(same, None if same else {"error": "graph mismatch"})
         return out
 
     def noninvertible_witness():
-        label = "noninvertible-witness"
         found = find_noninvertible_pair(max(2, n))
         if found is None:
-            return CheckResult(False, label, {"error": "no singular pair found in the search box"})
+            return CheckResult(False, {"error": "no singular pair found in the search box"})
         try:
             gauge_jacobi(*found)
         except NonInvertible:
-            return CheckResult(True, label)
-        return CheckResult(False, label, {"error": "expected the gauge move to be singular"})
+            return CheckResult(True)
+        return CheckResult(False, {"error": "expected the gauge move to be singular"})
 
     return [
         Family("gauge", ctx.samples, draw, checks, seed=ctx.seed),

@@ -432,8 +432,14 @@ def test_console_entry_point_subprocess(tmp_path, cli_env):
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect(cli_env):
     # Each would add its own imports (inspect pulls in ast, dis and
-    # tokenize) to the start-up of every command.
-    code = "import sys, omnilie.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # tokenize) to the start-up of every command.  The worker pool's
+    # pickle and tempfile load only when it runs, and no pool module
+    # loads at all.
+    heavy = [
+        "dataclasses", "inspect", "ast", "dis", "tokenize",
+        "concurrent.futures", "multiprocessing", "pickle", "tempfile",
+    ]
+    code = f"import sys, omnilie.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=cli_env
     )

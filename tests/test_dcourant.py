@@ -374,7 +374,7 @@ def test_brackets_equal_their_definitions_by_parts(n, p, kind, quotients, seed):
     assert dorfman(e1, e2, twist) == _dorfman_by_parts(e1, e2, twist)
     assert courant(e1, e2, twist) == _courant_by_parts(e1, e2, twist)
     if p == 1:
-        structure = LCourantStructure("by-parts", n, twist)
+        structure = LCourantStructure(n, twist)
         assert structure.trilinear(e1, e2, e3) == _trilinear_by_parts(e1, e2, e3, twist)
 
 

@@ -397,9 +397,8 @@ def test_noninvertible_witness():
     pair = find_noninvertible_pair(2)
     assert pair is not None
     J_bad, B_bad = pair
-    with pytest.raises(NonInvertible) as info:
+    with pytest.raises(NonInvertible):
         gauge_jacobi(J_bad, B_bad)
-    assert info.value.determinant is not None
 
 
 def _polynomial_graph():
