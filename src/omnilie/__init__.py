@@ -62,6 +62,7 @@ from .linf import (
     GradedElement,
     LInfinityStructure,
     LInfMorphism,
+    RepHomotopyData,
     build_dg_leibniz,
     build_graph_linf,
     build_semidirect,
@@ -78,7 +79,6 @@ from .linf import (
     morphism_residuals,
     observable_linf,
     perm_signature,
-    rep_homotopy_data,
     rescale_iso,
     unshuffles,
 )

@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
 from .errors import (
     DegreeOverflow,
@@ -36,7 +35,7 @@ from .jacobi import JacobiBiderivation, jacobi_bracket
 from .linf import kappa
 from .observables import graph_of_form
 from . import linalg, serialize
-from .suites import SUITES, SuiteContext, Unit
+from .suites import SUITES, SuiteContext
 
 
 # Size caps of a scenario, far above the shipped and benchmark scenarios
@@ -53,6 +52,12 @@ MAX_FORM_TERMS = 4096
 # exact-curvature.  Any other name is a typo that would silently run the
 # default form, so it is rejected.
 FORM_NAMES = ("B", "omega", "theta")
+
+# The top-level keys of a scenario.  Any other key is a typo, such as
+# "sampels", that would silently run a default, so it is rejected too.
+SCENARIO_KEYS = (
+    "n", "suites", "samples", "seed", "max_degree", "coeff_bound", "forms", "sabotage"
+)
 
 
 class ScenarioError(ValueError):
@@ -99,6 +104,11 @@ def load_scenario(path):
         # bad syntax or encoding, an integer past the digit limit, deep nesting
         raise ScenarioError(f"scenario: invalid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "scenario: top level must be an object")
+    for key in raw:
+        _require(
+            key in SCENARIO_KEYS,
+            f"scenario: unknown key {key!r} (known: {', '.join(SCENARIO_KEYS)})",
+        )
 
     n = raw.get("n")
     _require(_is_int(n) and 1 <= n <= MAX_N, f"n: must be an integer in 1..{MAX_N}")
@@ -143,7 +153,9 @@ def load_scenario(path):
         "sabotage: only 'drop-l3' is recognized",
     )
 
-    raw_forms = raw.get("forms") or {}
+    raw_forms = raw.get("forms")
+    if raw_forms is None:
+        raw_forms = {}
     _require(isinstance(raw_forms, dict), "forms: must be an object")
     forms = {}
     for name, obj in raw_forms.items():
@@ -216,23 +228,19 @@ def _suite_entries(name, rows, n):
     return entries
 
 
-def _raise(exc):
-    raise exc
-
-
 def run_suites(suite_names, ctx):
     """Execute the suites, returning report entries in scenario order.
 
     On one CPU each suite's runner runs in process.  Otherwise the parent
-    builds every suite's units (``suites.table_units``); a table that
-    raises becomes a unit at its place that raises the same.  One forked
-    worker per CPU, and no more than there are units, takes the next unit
-    index in scenario order from a pipe and leaves its results in one
-    pickle.  The parent reaps every worker, then merges the rows in unit
-    order and raises the exception of the first unit that raised, or
-    names the suite of the first unit that no worker finished.  So the
-    report, the exit code and the error line do not depend on the worker
-    count.
+    builds every suite's units (``SuiteSpec.units``), and keeps the
+    exception of a table that raises while it is built on that suite's
+    span.  One forked worker per CPU, and no more than there are units,
+    takes the next unit index in scenario order from a pipe and leaves
+    its results in one pickle.  The parent reaps every worker, then
+    merges the spans in scenario order: it raises a span's table
+    exception, or the exception of the first unit that raised, or names
+    the suite of the first unit that no worker finished.  So the report,
+    the exit code and the error line do not depend on the worker count.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if cpus == 1:
@@ -243,15 +251,17 @@ def run_suites(suite_names, ctx):
         ]
     units, spans = [], []
     for name in suite_names:
-        start = len(units)
+        start, error = len(units), None
         try:
             units += SUITES[name].units(ctx)
         except Exception as exc:
-            units.append(Unit(name, "table", 0, 0, partial(_raise, exc)))
-        spans.append((name, start, len(units)))
+            error = exc
+        spans.append((name, start, len(units), error))
     results = _run_pool(units, min(cpus, len(units)))
     entries = []
-    for name, start, end in spans:
+    for name, start, end, error in spans:
+        if error is not None:
+            raise error
         rows = []
         for index in range(start, end):
             if index not in results:

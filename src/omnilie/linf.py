@@ -1,7 +1,9 @@
 """Truncated strong homotopy structures, their oracle, and morphisms.
 
 Contents: the unshuffle/Koszul sign combinatorics, a generic residual
-oracle for the higher coherence identity, the structure constructors
+oracle for the higher coherence identity, the graded spaces (each a
+``Space`` record of its zero and its seeded draw), the structure
+constructors
 (two- and three-term brackets from an order-1 structure, the semidirect
 product of the homotopy representation, the graded observable algebra
 of a subbundle, the differential graded Leibniz bracket), morphism
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 from .errors import ArityError, Degenerate, NotClosed, ZeroScale
 from .gauge import Derivation, commutator, random_derivation
@@ -146,66 +149,29 @@ def ge_is_zero(a):
     return a is None or a.is_zero()
 
 
-class ScalarSpace:
-    def __init__(self, n):
-        self.n = n
+class Space:
+    """A graded space as a structure uses it: ``zero()``, and a seeded draw
+    ``random(rng, max_degree, coeff_bound)``."""
 
-    def zero(self):
-        return Scalar.zero(self.n)
+    __slots__ = ("zero", "random")
 
-    def random(self, rng, max_degree, coeff_bound):
-        return random_polynomial(self.n, rng, max_degree, coeff_bound)
+    def __init__(self, zero, random):
+        self.zero = zero
+        self.random = random
 
 
-class TrivialSpace:
+def _scalars(n):
+    return Space(partial(Scalar.zero, n), partial(random_polynomial, n))
+
+
+def _zero_scalars(n):
     """The zero subspace of scalars (for instance an everywhere-zero kernel)."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def zero(self):
-        return Scalar.zero(self.n)
-
-    def random(self, rng, max_degree, coeff_bound):
-        return Scalar.zero(self.n)
+    zero = partial(Scalar.zero, n)
+    return Space(zero, lambda rng, max_degree, coeff_bound: zero())
 
 
-class FormSpace:
-    def __init__(self, n, degree):
-        self.n = n
-        self.degree = degree
-
-    def zero(self):
-        return AtiyahForm.zero(self.n, self.degree)
-
-    def random(self, rng, max_degree, coeff_bound):
-        return random_form(self.n, self.degree, rng, max_degree, coeff_bound)
-
-
-class SectionSpace:
-    def __init__(self, n, p):
-        self.n = n
-        self.p = p
-
-    def zero(self):
-        return DSection.zero(self.n, self.p)
-
-    def random(self, rng, max_degree, coeff_bound):
-        return random_section(self.n, self.p, rng, max_degree, coeff_bound)
-
-
-class HamiltonianSpace:
-    def __init__(self, xi):
-        self.xi = xi
-        self.n = xi.n
-
-    def zero(self):
-        return HamiltonianForm(
-            AtiyahForm.zero(self.n, self.xi.p - 1), Derivation.zero(self.n)
-        )
-
-    def random(self, rng, max_degree, coeff_bound):
-        return random_hamiltonian(self.xi, rng, max_degree, coeff_bound)
+def _sections(n, p):
+    return Space(partial(DSection.zero, n, p), partial(random_section, n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +298,6 @@ def _pair_with_coboundary(e, s):
 
 def build_two_term(structure):
     """Sections in degree 0, scalars in degree 1, brackets from the structure."""
-    n = structure.n
-    spaces = (SectionSpace(n, 1), ScalarSpace(n))
     brackets = {
         (1,): script_D,
         (0, 0): structure.skew_bracket,
@@ -341,6 +305,7 @@ def build_two_term(structure):
         (1, 0): lambda s, e: -_pair_with_coboundary(e, s),
         (0, 0, 0): lambda a, b, c: -structure.trilinear(a, b, c),
     }
+    spaces = (_sections(structure.n, 1), _scalars(structure.n))
     return LInfinityStructure(f"two-term[{structure.name}]", spaces, 3, brackets)
 
 
@@ -352,7 +317,7 @@ def build_three_term(structure):
     subspace and the brackets agree with the two-term ones.
     """
     base = build_two_term(structure)
-    spaces = base.spaces + (TrivialSpace(structure.n),)
+    spaces = base.spaces + (_zero_scalars(structure.n),)
     brackets = {**base.brackets, (2,): lambda s: s}
     return LInfinityStructure(f"three-term[{structure.name}]", spaces, 4, brackets)
 
@@ -420,14 +385,8 @@ class RepHomotopyData:
         return Family(tag, samples, draw, checks, seed=seed)
 
 
-def rep_homotopy_data(n):
-    return RepHomotopyData(n)
-
-
 def build_semidirect(data):
     """Semidirect two-term structure of the homotopy representation."""
-    n = data.n
-    spaces = (SectionSpace(n, 1), ScalarSpace(n))
 
     def l2(ea, eb):
         return DSection(
@@ -448,6 +407,7 @@ def build_semidirect(data):
         (1, 0): lambda s, e: -data.mu1(e.der, s),
         (0, 0, 0): l3,
     }
+    spaces = (_sections(data.n, 1), _scalars(data.n))
     return LInfinityStructure("semidirect", spaces, 3, brackets)
 
 
@@ -459,11 +419,16 @@ def build_semidirect(data):
 def observable_linf(xi):
     """The graded observable structure of an isotropic involutive subbundle."""
     n, p = xi.n, xi.p
-    spaces = [HamiltonianSpace(xi)]
-    for i in range(1, p - 1):
-        spaces.append(FormSpace(n, p - 1 - i))
+
+    def zero_hamiltonian():
+        # a new zero derivation each time: a derivation keeps its contractions
+        return HamiltonianForm(AtiyahForm.zero(n, p - 1), Derivation.zero(n))
+
+    spaces = [Space(zero_hamiltonian, partial(random_hamiltonian, xi))]
+    for degree in range(p - 2, 0, -1):
+        spaces.append(Space(partial(AtiyahForm.zero, n, degree), partial(random_form, n, degree)))
     if p >= 2:
-        spaces.append(ScalarSpace(n))
+        spaces.append(_scalars(n))
 
     def d_hamiltonian(a):
         return HamiltonianForm(differential(as_form(a)), Derivation.zero(n))
@@ -489,11 +454,16 @@ def observable_linf(xi):
     return LInfinityStructure(f"observables[p={p}]", spaces, p + 1, brackets)
 
 
-def build_graph_linf(omega):
-    """Observable structure of the graph of a closed form."""
+def _closed_graph(omega):
+    """The graph of omega, which must be closed."""
     if not differential(omega).is_zero():
         raise NotClosed("the graph construction needs a closed form")
-    return observable_linf(graph_of_form(omega))
+    return graph_of_form(omega)
+
+
+def build_graph_linf(omega):
+    """Observable structure of the graph of a closed form."""
+    return observable_linf(_closed_graph(omega))
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +533,7 @@ def morphism_residuals(
 
 def anchor_extension_algebra(b_form):
     """The Lie algebra of order-0 sections twisted by a 2-form, as a 2-term structure."""
-    spaces = (SectionSpace(b_form.n, 0), TrivialSpace(b_form.n))
+    spaces = (_sections(b_form.n, 0), _zero_scalars(b_form.n))
 
     def l2(ea, eb):
         sa, sb = ea.form.scalar(), eb.form.scalar()
@@ -675,9 +645,10 @@ def build_dg_leibniz(omega):
     Leibniz rule: a degree-0 input acts by the Lie derivative along its
     Hamiltonian derivation, and an input of positive degree brackets to zero.
     """
-    graph = build_graph_linf(omega)
-    if linalg.rank(graph.space(0).xi._form_matrix()) != omega.n + 1:
+    xi = _closed_graph(omega)
+    if linalg.rank(xi._form_matrix()) != omega.n + 1:
         raise Degenerate("the contraction map must have full rank")
+    graph = observable_linf(xi)
     top = graph.terms - 1
 
     def lie(h, b):

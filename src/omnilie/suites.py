@@ -5,19 +5,20 @@ count, master seed, generator bounds, optional named forms) that returns
 its items in report order.  A ``sampling.Family`` is one seeded
 identity family, built by the table or by a layer helper such as
 ``lcourant_axioms`` from the master seed and a seed tag; a ``Row`` is
-one fixed check.  Building a table computes no row: ``table_units``
-turns it into the suite's units, each with an address (suite, tag and
-case range) and a ``run()`` that returns the rows
-``(label, ok, witness)`` of those cases, so one unit can run anywhere in
-any process.  All randomness is derived from the master seed and the
-seed tags, so a rerun of the same scenario reproduces the same report
-byte for byte.  Negative controls are built in: they pass exactly when
-the expected failure is detected.
+one fixed check, shaped as a family of one case tagged with its label.
+Building a table computes no row: ``SuiteSpec.units`` makes one unit
+per case of each item, with an address (suite, tag and case range) and
+a ``run()`` that returns the rows ``(label, ok, witness)`` of that
+case, so one unit can run anywhere in any process.  All randomness is
+derived from the master seed and the seed tags, so a rerun of the same
+scenario reproduces the same report byte for byte.  Negative controls
+are built in: they pass exactly when the expected failure is detected.
 """
 
 from __future__ import annotations
 
 import random
+import types
 from fractions import Fraction
 from functools import cache, partial
 
@@ -60,6 +61,7 @@ from .observables import (
     useful_lemma_residual,
 )
 from .linf import (
+    RepHomotopyData,
     anchor_extension_algebra,
     build_dg_leibniz,
     build_graph_linf,
@@ -75,7 +77,6 @@ from .linf import (
     leibniz_residual,
     morphism_residuals,
     prolongation_morphism,
-    rep_homotopy_data,
     section_map_matrix,
 )
 from .jacobi import (
@@ -112,17 +113,19 @@ class SuiteContext:
 
 
 class Row:
-    """One fixed row of a suite table: ``value()`` returns its residual or
+    """One fixed row of a suite table, shaped as a family of one case whose
+    tag is the row's label: ``value()`` returns its residual or
     CheckResult, and is called only when the row runs."""
 
-    __slots__ = ("label", "value")
+    __slots__ = ("tag", "value")
+    count = 1
 
     def __init__(self, label, value):
-        self.label = label
+        self.tag = label
         self.value = value
 
-    def rows(self):
-        return [outcome(self.label, self.value())]
+    def rows(self, lo, hi):
+        return [outcome(self.tag, self.value())] if lo <= 0 < hi else []
 
 
 class Unit:
@@ -137,26 +140,6 @@ class Unit:
         self.lo = lo
         self.hi = hi
         self.run = run
-
-
-def table_units(suite, table, ctx):
-    """The units of a suite table in report order: one per case of each
-    family, one per fixed row."""
-    units = []
-    for item in table(ctx):
-        if isinstance(item, Row):
-            units.append(Unit(suite, item.label, 0, 1, item.rows))
-            continue
-        units += [
-            Unit(suite, item.tag, case, case + 1, partial(item.rows, case, case + 1))
-            for case in range(item.count)
-        ]
-    return units
-
-
-def run_units(units):
-    """Every row of the units, run in order in this process."""
-    return [row for unit in units for row in unit.run()]
 
 
 def default_twist(ctx):
@@ -304,7 +287,7 @@ def _agreement(a, b):
 
 
 def semidirect_agreement(ctx):
-    data = rep_homotopy_data(ctx.n)
+    data = RepHomotopyData(ctx.n)
     semi = build_semidirect(data)
     two = build_two_term(LCourantStructure.omni(ctx.n))
 
@@ -773,11 +756,11 @@ def gauge(ctx):
         return tuple(differential(random_form(n, 1, rng, 1, 2)) for _ in range(2))
 
     def tau_checks(b1, b2):
-        composed = dirac_gauge(dirac_gauge(xi, b1), b2)
-        same = span_equal(composed, dirac_gauge(xi, b1 + b2))
+        shifted = dirac_gauge(xi, b1)
+        same = span_equal(dirac_gauge(shifted, b2), dirac_gauge(xi, b1 + b2))
         out = {
             "tau-composes": CheckResult(same, None if same else {"error": "span mismatch"}),
-            "tau-involutive": is_involutive(dirac_gauge(xi, b1)),
+            "tau-involutive": is_involutive(shifted),
         }
         try:
             transformed = gauge_jacobi(base, b1)
@@ -785,7 +768,7 @@ def gauge(ctx):
             # singular draw: the graph law is vacuous here
             out["graph-law"] = CheckResult(True)
             return out
-        same = span_equal(graph(transformed), dirac_gauge(xi, b1))
+        same = span_equal(graph(transformed), shifted)
         out["graph-law"] = CheckResult(same, None if same else {"error": "graph mismatch"})
         return out
 
@@ -806,32 +789,23 @@ def gauge(ctx):
     ]
 
 
-class _Field:
-    """What ``dataclasses.replace`` reads of a field.  The tracer of
-    ``perfbench/traced_verify.py`` rebuilds each spec with that function,
-    so SuiteSpec lists its fields in this form without importing
-    ``dataclasses``, which would add its own imports (``inspect``, ``ast``,
-    ``dis``, ``tokenize``) to the start-up of every command."""
-
-    __slots__ = ("name",)
-    init = True
-    _field_type = None
-
-    def __init__(self, name):
-        self.name = name
-
-
 class SuiteSpec:
     """A registered suite.  ``omega`` says what it needs of a named twist:
     None when it never reads ``forms.omega``, "closed" when it reads it
     as its closed 3-form twist, "nondegenerate" when it also builds the
     graph's observables from it, and "constant" when it also needs the
     graph's Hamiltonian derivations to be polynomial.  ``runner(ctx)``
-    runs every unit of the table in order, in process; it defaults to
-    ``run_units`` of ``units(ctx)``."""
+    returns the rows of the table, by default by running every unit of
+    ``units(ctx)`` in order, in process.  The field records let
+    ``dataclasses.replace`` rebuild a spec (``perfbench/traced_verify.py``
+    swaps each runner so) with no import of ``dataclasses``, which would
+    add ``inspect``, ``ast``, ``dis`` and ``tokenize`` to the start-up of
+    every command."""
 
     __slots__ = ("name", "min_n", "max_n", "omega", "table", "runner")
-    __dataclass_fields__ = {name: _Field(name) for name in __slots__}
+    __dataclass_fields__ = {
+        name: types.SimpleNamespace(name=name, init=True, _field_type=None) for name in __slots__
+    }
 
     def __init__(self, name, min_n, max_n, omega, table, runner=None):
         self.name = name
@@ -839,10 +813,17 @@ class SuiteSpec:
         self.max_n = max_n
         self.omega = omega
         self.table = table
-        self.runner = runner or (lambda ctx: run_units(self.units(ctx)))
+        self.runner = runner or (
+            lambda ctx: [row for unit in self.units(ctx) for row in unit.run()]
+        )
 
     def units(self, ctx):
-        return table_units(self.name, self.table, ctx)
+        """The units of the table in report order, one per case of each item."""
+        return [
+            Unit(self.name, item.tag, case, case + 1, partial(item.rows, case, case + 1))
+            for item in self.table(ctx)
+            for case in range(item.count)
+        ]
 
 
 SUITES = {

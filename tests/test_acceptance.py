@@ -40,6 +40,7 @@ from omnilie.observables import (
 )
 from omnilie.linf import (
     GradedElement,
+    RepHomotopyData,
     anchor_extension_algebra,
     build_dg_leibniz,
     build_graph_linf,
@@ -56,7 +57,6 @@ from omnilie.linf import (
     leibniz_residual,
     morphism_residuals,
     prolongation_morphism,
-    rep_homotopy_data,
     section_map_matrix,
 )
 from omnilie.jacobi import (
@@ -155,7 +155,7 @@ def test_criterion_03_linf_oracle():
 
 
 def test_criterion_04_semidirect_agreement():
-    data = rep_homotopy_data(2)
+    data = RepHomotopyData(2)
     semi = build_semidirect(data)
     two = build_two_term(LCourantStructure.omni(2))
     rng = random.Random(4000)

@@ -245,6 +245,35 @@ def test_the_first_failing_suite_in_scenario_order_decides_the_error(
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
+def test_a_table_that_raises_while_built_exits_two_in_scenario_order(
+    tmp_path, capsys, monkeypatch, cpus
+):
+    def unbuildable(ctx):
+        raise Degenerate("the table's error")
+
+    def row():
+        raise NotClosed("the row's error")
+
+    _patch_table(monkeypatch, "gauge", unbuildable)
+    _patch_table(monkeypatch, "atiyah-calculus", lambda ctx: [suites.Row("raises", row)])
+    _cpus(monkeypatch, cpus)
+    # the first failing suite in scenario order decides the error, whether
+    # its table or one of its rows raises; alone, gauge leaves no unit to run
+    for names, error in (
+        (["gauge"], "the table's error"),
+        (["gauge", "atiyah-calculus"], "the table's error"),
+        (["atiyah-calculus", "gauge"], "the row's error"),
+    ):
+        scenario = write_scenario(tmp_path, suites=names)
+        report = tmp_path / "r.json"
+        rc = main(["verify", "--scenario", str(scenario), "--report", str(report)])
+        assert rc == 2, names
+        assert capsys.readouterr().err == f"input error: {error}\n", names
+        assert not report.exists()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
 def test_the_first_failing_case_in_scenario_order_decides_the_error(
     tmp_path, capsys, monkeypatch, cpus
 ):
@@ -274,6 +303,11 @@ def test_verify_rejects_bad_scenarios(tmp_path, capsys):
         ({"sabotage": "zap"}, "sabotage"),
         ({"max_degree": MAX_DEGREE + 1}, f"max_degree: must be an integer in 0..{MAX_DEGREE}"),
         ({"forms": ["omega"]}, "forms: must be an object"),
+        # falsy values are not objects either
+        ({"forms": []}, "forms: must be an object"),
+        ({"forms": 0}, "forms: must be an object"),
+        ({"forms": False}, "forms: must be an object"),
+        ({"forms": ""}, "forms: must be an object"),
     ]
     for overrides, needle in cases:
         scenario = write_scenario(tmp_path, **overrides)
@@ -281,6 +315,24 @@ def test_verify_rejects_bad_scenarios(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 2, overrides
         assert needle in err
+
+
+def test_verify_rejects_unknown_scenario_keys(tmp_path, capsys):
+    # a misspelled key used to run its default: "sampels" ran 10 samples
+    scenario = write_scenario(tmp_path, sampels=1)
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "input error: scenario: unknown key 'sampels' (known: n, suites, samples, seed,"
+        " max_degree, coeff_bound, forms, sabotage)\n"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_absent_or_null_forms_load_as_no_forms(tmp_path):
+    for overrides in ({}, {"forms": None}):
+        _, ctx, _ = load_scenario(write_scenario(tmp_path, **overrides))
+        assert ctx.forms == {}, overrides
 
 
 def test_verify_rejects_bad_forms(tmp_path, capsys):

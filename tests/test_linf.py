@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,8 @@ from omnilie.linf import (
     GradedElement,
     LInfinityStructure,
     LInfMorphism,
+    RepHomotopyData,
+    Space,
     anchor_extension_algebra,
     build_dg_leibniz,
     build_graph_linf,
@@ -32,7 +35,6 @@ from omnilie.linf import (
     observable_linf,
     perm_signature,
     prolongation_morphism,
-    rep_homotopy_data,
     rescale_iso,
     section_map_matrix,
     unshuffles,
@@ -68,14 +70,8 @@ def test_kappa_table():
 def derivation_lie_algebra(n):
     """The commutator bracket as a one-term structure: an oracle self-check."""
 
-    class DerSpace:
-        def zero(self):
-            return Derivation.zero(n)
-
-        def random(self, rng, max_degree, coeff_bound):
-            return random_derivation(n, rng, max_degree, coeff_bound)
-
-    return LInfinityStructure("derivations", (DerSpace(),), 2, {(0, 0): commutator})
+    space = Space(partial(Derivation.zero, n), partial(random_derivation, n))
+    return LInfinityStructure("derivations", (space,), 2, {(0, 0): commutator})
 
 
 def test_oracle_reduces_to_jacobi_for_a_lie_algebra():
@@ -128,7 +124,7 @@ def linf_structures():
         build_two_term(LCourantStructure.omni(2)),
         build_two_term(LCourantStructure.twisted(OMEGA2)),
         build_three_term(LCourantStructure.omni(2)),
-        build_semidirect(rep_homotopy_data(2)),
+        build_semidirect(RepHomotopyData(2)),
         build_graph_linf(OMEGA2),
         anchor_extension_algebra(b_closed),
     ]
@@ -161,6 +157,37 @@ def test_every_table_entry_lands_inside_the_complex():
     for structure in structures:
         for degs in structure.brackets:
             assert 0 <= sum(degs) + len(degs) - 2 < structure.terms, (structure.name, degs)
+
+
+def _top_graph_observables(p):
+    """The observable structure of the graph of the top basis form over p variables."""
+    return observable_linf(graph_of_form(AtiyahForm.basis(p, tuple(range(p + 1)))))
+
+
+@pytest.mark.parametrize(
+    "structure",
+    built_structures()
+    + [pytest.param(_top_graph_observables(p), id=f"observable_linf[p={p}]") for p in (1, 2, 3)],
+    ids=lambda s: s.name,
+)
+def test_every_space_has_a_zero_and_draws_of_its_type(structure):
+    # some spaces are reached by no table entry, such as the anchor-extension
+    # algebra's degree 1
+    rng = random.Random(23)
+    for degree in range(structure.terms):
+        space = structure.space(degree)
+        zero = space.zero()
+        assert zero.is_zero(), (structure.name, degree)
+        for _ in range(3):
+            assert type(space.random(rng, 1, 2)) is type(zero), (structure.name, degree)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_each_hamiltonian_zero_has_a_derivation_of_its_own(p):
+    # a derivation keeps its contractions, so a shared zero would carry
+    # them from one case to the next
+    space = _top_graph_observables(p).space(0)
+    assert space.zero().ham_der is not space.zero().ham_der
 
 
 @pytest.mark.parametrize("structure", built_structures(), ids=lambda s: s.name)
@@ -242,7 +269,7 @@ def test_three_term_structure():
 
 
 def test_rep_homotopy_data():
-    data = rep_homotopy_data(1)
+    data = RepHomotopyData(1)
     x = Scalar.variable(1, 1)
     assert data.mu1(Derivation.unit(1), x) == x * Fraction(1, 2)
     got = data.mu0(Derivation.partial(1, 1), AtiyahForm(1, 1, {(1,): x}))
@@ -256,7 +283,7 @@ def test_rep_homotopy_data():
 
 
 def test_semidirect_agrees_with_two_term():
-    data = rep_homotopy_data(2)
+    data = RepHomotopyData(2)
     semi = build_semidirect(data)
     two = build_two_term(LCourantStructure.omni(2))
     rng = random.Random(7)
