@@ -21,6 +21,9 @@ import json
 import os
 import sys
 
+# Only what a scenario without forms needs is imported here.  Forms, the
+# twist checks, the demos and ``primitive`` import their layers where
+# they use them, and each suite's table imports its own on first call.
 from .errors import (
     DegreeOverflow,
     Degenerate,
@@ -29,12 +32,7 @@ from .errors import (
     NotHamiltonian,
     UnknownDemo,
 )
-from .scalar import MAX_DEGREE, Scalar
-from .atiyah import AtiyahForm, differential, primitive
-from .jacobi import JacobiBiderivation, jacobi_bracket
-from .linf import kappa
-from .observables import graph_of_form
-from . import linalg, serialize
+from .scalar import MAX_DEGREE
 from .suites import SUITES, SuiteContext
 
 
@@ -79,6 +77,8 @@ def load_form(n, obj):
     ``omnilie primitive`` read it.  A malformed form, one past
     MAX_FORM_TERMS coefficients and terms, or one of a degree outside
     0..n+1 raises ScenarioError; the caller names the field."""
+    from . import serialize
+
     try:
         form = serialize.form_from_obj(n, obj)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
@@ -169,6 +169,8 @@ def load_scenario(path):
             raise ScenarioError(f"forms.{name}: {exc}") from exc
     needs = {SUITES[name].omega for name in suites} - {None}
     if "omega" in forms and needs:
+        from .atiyah import differential
+
         _require(
             forms["omega"].degree == 3,
             f"forms.omega: the twist must have degree 3 (got {forms['omega'].degree})",
@@ -178,6 +180,9 @@ def load_scenario(path):
             "forms.omega: the twist must be closed",
         )
         if needs & {"nondegenerate", "constant"}:
+            from . import linalg
+            from .observables import graph_of_form
+
             xi = graph_of_form(forms["omega"])
             _require(
                 linalg.rank(xi._form_matrix()) == n + 1,
@@ -235,8 +240,8 @@ def run_suites(suite_names, ctx):
     builds every suite's units (``SuiteSpec.units``), and keeps the
     exception of a table that raises while it is built on that suite's
     span.  One forked worker per CPU, and no more than there are units,
-    takes the next unit index in scenario order from a pipe and leaves
-    its results in one pickle.  The parent reaps every worker, then
+    takes the next unit index in scenario order from a pipe and sends
+    its results back as one pickle.  The parent reaps every worker, then
     merges the spans in scenario order: it raises a span's table
     exception, or the exception of the first unit that raised, or names
     the suite of the first unit that no worker finished.  So the report,
@@ -276,52 +281,64 @@ def run_suites(suite_names, ctx):
 
 def _run_pool(units, workers):
     """Run the units in forked workers; map each finished unit's index to
-    ``(True, rows)`` or ``(False, exception)``."""
+    ``(True, rows)`` or ``(False, exception)``.  Each worker sends its
+    results through a pipe of its own as one pickle, the last thing it
+    writes, which the parent reads before it reaps the workers."""
     import pickle
-    import tempfile
 
     parent = os.getpid()
-    results = {}
-    with tempfile.TemporaryDirectory(prefix="omnilie-verify-") as outdir:
-        tasks, feed = os.pipe()
-        pids = []
-        try:
-            for _ in range(workers):
+    tasks, feed = os.pipe()
+    pids, outs, results = [], [], {}
+    try:
+        for _ in range(workers):
+            out, result = os.pipe()
+            outs.append(out)
+            try:
                 pid = os.fork()
                 if pid == 0:
-                    os.close(feed)
-                    _worker(tasks, units, outdir, parent)
-                pids.append(pid)
-            os.close(tasks)
-            tasks = None
-            try:
-                for index in range(len(units)):
-                    # one write per index, so no read takes part of one; a
-                    # full pipe blocks until a worker reads
-                    os.write(feed, index.to_bytes(4, "little"))
-            except BrokenPipeError:
-                pass  # every worker has gone: the merge names the first lost unit
-        finally:
-            for fd in (tasks, feed):
-                if fd is not None:
-                    os.close(fd)
-            for pid in pids:
-                os.waitpid(pid, 0)
-        for name in os.listdir(outdir):
-            if name.endswith(".pickle"):
-                with open(os.path.join(outdir, name), "rb") as handle:
-                    results.update(pickle.load(handle))
+                    _worker(tasks, units, result, parent, [feed, *outs])
+            finally:
+                # Every later worker would inherit this write end, and the
+                # parent would never read EOF from this worker's pipe.
+                os.close(result)
+            pids.append(pid)
+        os.close(tasks)
+        tasks = None
+        try:
+            for index in range(len(units)):
+                # one write per index, so no read takes part of one; a
+                # full pipe blocks until a worker reads
+                os.write(feed, index.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # every worker has gone: the merge names the first lost unit
+        os.close(feed)
+        feed = None
+        while outs:
+            with open(outs.pop(), "rb") as stream:
+                try:
+                    results.update(pickle.load(stream))
+                except (EOFError, pickle.UnpicklingError):
+                    pass  # an empty or cut stream: its worker process left no result
+    finally:
+        for fd in (tasks, feed, *outs):
+            if fd is not None:
+                os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
     return results
 
 
-def _worker(tasks, units, outdir, parent):
-    """Body of a forked worker; it never returns.  It writes the results
-    of all its units to one pickle when the feed ends.  A worker whose
-    parent has gone takes no further unit."""
+def _worker(tasks, units, result, parent, others):
+    """Body of a forked worker; it never returns.  It closes ``others``,
+    the pipe ends that only the parent may hold, and when the feed ends
+    writes the results of all its units to its ``result`` pipe as one
+    pickle.  A worker whose parent has gone takes no further unit."""
     import pickle
 
     code = 1
     try:
+        for fd in others:
+            os.close(fd)
         results = {}
         while os.getppid() == parent:
             record = os.read(tasks, 4)
@@ -332,10 +349,8 @@ def _worker(tasks, units, outdir, parent):
                 results[index] = (True, units[index].run())
             except Exception as exc:
                 results[index] = (False, exc)
-        path = os.path.join(outdir, f"{os.getpid()}.pickle")
-        with open(path + ".tmp", "wb") as handle:
+        with open(result, "wb") as handle:
             pickle.dump(results, handle)
-        os.replace(path + ".tmp", path)
         code = 0
     finally:
         os._exit(code)
@@ -448,6 +463,10 @@ def cmd_verify(args):
 
 
 def _demo_canonical_p1():
+    from .atiyah import AtiyahForm
+    from .jacobi import JacobiBiderivation, jacobi_bracket
+    from .scalar import Scalar
+
     lines = ["order-1 canonical bracket, one variable"]
     omega = AtiyahForm.basis(1, (0, 1))
     J = JacobiBiderivation.from_closed_form(omega)
@@ -461,8 +480,10 @@ def _demo_canonical_p1():
 
 
 def _demo_canonical_p2():
-    from .linf import GradedElement, build_graph_linf
+    from .atiyah import AtiyahForm
+    from .linf import GradedElement, build_graph_linf, kappa
     from .observables import graph_of_form, hamiltonian_form
+    from .scalar import Scalar
 
     lines = ["order-2 graph observables, two variables"]
     for k in (2, 3, 4, 5):
@@ -480,6 +501,8 @@ def _demo_canonical_p2():
 
 
 def _demo_acyclicity():
+    from .atiyah import AtiyahForm, primitive
+
     lines = ["contracting homotopy in one variable"]
     einf = AtiyahForm.basis(1, (1,))
     lines.append(f"primitive(e(inf)) = {primitive(einf)}")
@@ -515,6 +538,9 @@ def cmd_demo(args):
 
 
 def cmd_primitive(args):
+    from . import serialize
+    from .atiyah import primitive
+
     try:
         with open(args.form, "r", encoding="utf-8") as handle:
             raw = json.load(handle)

@@ -28,7 +28,7 @@ from .atiyah import (
 from .dcourant import DSection, _dorfman_terms, gauge_auto
 from .observables import Subbundle, is_involutive
 from .sampling import CheckResult, Family
-from .scalar import Scalar, monomials_upto, Polynomial, random_polynomial, sum_of_products
+from .scalar import Scalar, monomial_scalars, random_polynomial, sum_of_products
 from . import linalg
 
 
@@ -136,11 +136,6 @@ def graph(J):
         form = AtiyahForm.basis(n, (a,))
         gens.append(DSection(sharp(J, form), form))
     return Subbundle(gens)
-
-
-def monomial_scalars(n, max_degree):
-    """The monomials of total degree <= max_degree, as scalars, in graded-lex order."""
-    return [Scalar(Polynomial(n, {mono: 1})) for mono in monomials_upto(n, max_degree)]
 
 
 def _jacobiator(*pairs):

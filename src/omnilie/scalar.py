@@ -95,6 +95,11 @@ def monomials_upto(n, max_degree):
     return list(_monomial_table(n, max_degree))
 
 
+def monomial_scalars(n, max_degree):
+    """The monomials of total degree <= max_degree, as scalars, in graded-lex order."""
+    return [Scalar(Polynomial(n, {mono: 1})) for mono in monomials_upto(n, max_degree)]
+
+
 class Polynomial:
     """Sparse multivariate polynomial over Q.
 

@@ -196,6 +196,32 @@ def test_a_killed_worker_exits_three_and_leaves_no_child(tmp_path, capsys, monke
     _assert_no_child_left()
 
 
+class _KilledWhilePickled:
+    def __reduce__(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_a_worker_killed_while_it_sends_its_results_exits_three(tmp_path, capsys, monkeypatch):
+    # The witness's 200 KB string reaches the result pipe before the kill,
+    # so the parent reads a cut pickle, which counts as no result.
+    from omnilie.sampling import CheckResult
+
+    def value():
+        return CheckResult(False, {"padding": "x" * 200_000, "killed": _KilledWhilePickled()})
+
+    _patch_table(monkeypatch, "gauge", lambda ctx: [suites.Row("killed", value)])
+    _cpus(monkeypatch, 2)
+    scenario = write_scenario(tmp_path, suites=["gauge"])
+    report = tmp_path / "r.json"
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(report)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "internal error: RuntimeError: suite gauge: its worker process left no result\n"
+    )
+    assert not report.exists()
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("alive", [True, False], ids=["workers alive", "workers dead"])
 def test_the_unit_feed_outgrows_the_pipe(tmp_path, capsys, monkeypatch, alive):
     # 20,000 four-byte unit indices do not fit a 64 KiB pipe, so the
@@ -485,8 +511,8 @@ def test_console_entry_point_subprocess(tmp_path, cli_env):
 def test_the_cli_imports_neither_dataclasses_nor_inspect(cli_env):
     # Each would add its own imports (inspect pulls in ast, dis and
     # tokenize) to the start-up of every command.  The worker pool's
-    # pickle and tempfile load only when it runs, and no pool module
-    # loads at all.
+    # pickle loads only when it runs, and neither tempfile nor a pool
+    # module loads at all.
     heavy = [
         "dataclasses", "inspect", "ast", "dis", "tokenize",
         "concurrent.futures", "multiprocessing", "pickle", "tempfile",
@@ -497,6 +523,89 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect(cli_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# The omnilie modules that `import omnilie, omnilie.cli` and the load of a
+# scenario without forms may load: the registry and what it reads.
+STARTUP_MODULES = [
+    "omnilie", "omnilie.cli", "omnilie.errors", "omnilie.sampling", "omnilie.scalar",
+    "omnilie.suites",
+]
+
+
+def _omnilie_modules(cli_env, code, *argv):
+    """The omnilie modules held by a `-S` child once it has run code."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'omnilie')))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv],
+        capture_output=True, text=True, env=cli_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_the_cli_loads_no_layer_before_a_suite_runs(tmp_path, cli_env):
+    scenario = write_scenario(tmp_path, suites="all")
+    code = "import sys, omnilie, omnilie.cli\nomnilie.cli.load_scenario(sys.argv[1])"
+    assert _omnilie_modules(cli_env, code, str(scenario)) == STARTUP_MODULES
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "scenario, unused",
+    [
+        (dict(n=3, suites=["jacobi"]), ["omnilie.linf", "omnilie.serialize", "omnilie.suites_linf"]),
+        (
+            dict(n=3, suites=["lcourant-axioms", "atiyah-calculus", "exact-curvature"]),
+            ["omnilie.jacobi", "omnilie.linalg", "omnilie.linf", "omnilie.observables"],
+        ),
+    ],
+    ids=["jacobi", "forms"],
+)
+def test_a_verify_loads_only_the_layers_of_its_suites(tmp_path, cli_env, cpus, scenario, unused):
+    path = write_scenario(tmp_path, samples=2, **scenario)
+    code = (
+        "import os, sys\n"
+        f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+        "from omnilie import cli\n"
+        "assert cli.main(['verify', '--scenario', sys.argv[1], '--report', sys.argv[2]]) == 0\n"
+    )
+    loaded = _omnilie_modules(cli_env, code, str(path), str(tmp_path / "r.json"))
+    assert set(STARTUP_MODULES) < set(loaded)
+    assert not set(unused) & set(loaded)
+
+
+def test_forked_workers_import_nothing(tmp_path, cli_env):
+    # run_suites builds every suite's units, and with them imports every
+    # table module and layer, before it forks.  Each unit here raises in its
+    # worker if the worker holds a module that the parent did not.
+    scenario = write_scenario(tmp_path, suites="all", samples=1)
+    code = (
+        "import os, pickle, sys\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from omnilie import cli\n"
+        "from omnilie.suites import Unit\n"
+        "pool = cli._run_pool\n"
+        "def run(unit, known):\n"
+        "    rows = unit.run()\n"
+        "    new = sorted(set(sys.modules) - known)\n"
+        "    if new:\n"
+        "        raise RuntimeError(f'a worker imported {new}')\n"
+        "    return rows\n"
+        "def checked(units, workers):\n"
+        "    known = set(sys.modules)\n"
+        "    units = [Unit(u.suite, u.tag, u.lo, u.hi, lambda u=u: run(u, known)) for u in units]\n"
+        "    assert workers == 2\n"
+        "    return pool(units, workers)\n"
+        "cli._run_pool = checked\n"
+        "sys.exit(cli.main(['verify', '--scenario', sys.argv[1], '--report', sys.argv[2]]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(scenario), str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=cli_env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "total: " in proc.stdout
 
 
 def test_every_traced_target_exists(cli_env):

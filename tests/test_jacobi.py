@@ -43,7 +43,7 @@ from omnilie.jacobi import (
     twisted_jet_bracket,
 )
 from omnilie.scalar import Polynomial, Scalar, monomials_upto, random_polynomial
-from omnilie.suites import _random_biderivation
+from omnilie.suites_jacobi import _random_biderivation
 
 CONTACT1 = JacobiBiderivation.from_closed_form(AtiyahForm.basis(1, (0, 1)))
 
