@@ -19,7 +19,7 @@ _HOME = {
     for module, names in {
         "errors": """ArityError ArityMismatch DegreeOverflow Degenerate DivisionByZero
             IndexOutOfRange NonInvertible NotClosed NotHamiltonian OrderMismatch
-            TwistArityError UnknownDemo ZeroScale""",
+            TwistArityError ZeroScale""",
         "scalar": "Polynomial Scalar derive random_scalar",
         "gauge": "Derivation commutator symbol",
         "atiyah": "AtiyahForm contract differential evaluate lie_derivative primitive",

@@ -10,8 +10,13 @@ Subcommands:
 * ``primitive --form <path>`` reads a serialized closed form and prints
   a primitive for it.
 
-Any subcommand exits 3 with one ``internal error:`` line on stderr when
-the program itself fails.
+A command reports malformed input by raising ``InputError``, which
+``main`` alone turns into one ``input error:`` line and exit 2.
+``load_scenario`` decides malformed input, the twist each suite declares
+it needs (``SuiteSpec.omega``) included, before any suite runs.  While
+they run, the degree limit is the one input error; any other exception
+is a fault of the program, exit 3 with one ``internal error:`` line, so
+a table that reads ``forms.omega`` must declare its need.
 """
 
 from __future__ import annotations
@@ -24,14 +29,7 @@ import sys
 # Only what a scenario without forms needs is imported here.  Forms, the
 # twist checks, the demos and ``primitive`` import their layers where
 # they use them, and each suite's table imports its own on first call.
-from .errors import (
-    DegreeOverflow,
-    Degenerate,
-    NonInvertible,
-    NotClosed,
-    NotHamiltonian,
-    UnknownDemo,
-)
+from .errors import DegreeOverflow, NotClosed
 from .scalar import MAX_DEGREE
 from .suites import SUITES, SuiteContext
 
@@ -58,13 +56,14 @@ SCENARIO_KEYS = (
 )
 
 
-class ScenarioError(ValueError):
-    """Malformed scenario input; the message names the offending field."""
+class InputError(ValueError):
+    """Malformed input: a scenario, form file, demo name or report path.
+    The message names the offending field."""
 
 
 def _require(condition, message):
     if not condition:
-        raise ScenarioError(message)
+        raise InputError(message)
 
 
 def _is_int(value):
@@ -76,13 +75,13 @@ def load_form(n, obj):
     """The form that ``obj`` encodes over n variables, as scenarios and
     ``omnilie primitive`` read it.  A malformed form, one past
     MAX_FORM_TERMS coefficients and terms, or one of a degree outside
-    0..n+1 raises ScenarioError; the caller names the field."""
+    0..n+1 raises InputError; the caller names the field."""
     from . import serialize
 
     try:
         form = serialize.form_from_obj(n, obj)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise ScenarioError(exc) from exc
+        raise InputError(exc) from exc
     terms = len(form.coeffs) + sum(
         len(v.num.terms) + len(v.den.terms) for v in form.coeffs.values()
     )
@@ -99,10 +98,10 @@ def load_scenario(path):
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
     except OSError as exc:
-        raise ScenarioError(f"scenario: cannot read {path}: {exc}") from exc
+        raise InputError(f"scenario: cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # bad syntax or encoding, an integer past the digit limit, deep nesting
-        raise ScenarioError(f"scenario: invalid JSON: {exc}") from exc
+        raise InputError(f"scenario: invalid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "scenario: top level must be an object")
     for key in raw:
         _require(
@@ -165,8 +164,8 @@ def load_scenario(path):
         )
         try:
             forms[name] = load_form(n, obj)
-        except ScenarioError as exc:
-            raise ScenarioError(f"forms.{name}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"forms.{name}: {exc}") from exc
     needs = {SUITES[name].omega for name in suites} - {None}
     if "omega" in forms and needs:
         from .atiyah import differential
@@ -432,19 +431,11 @@ def _write_stdout(text):
 
 
 def cmd_verify(args):
-    try:
-        suite_names, ctx, raw = load_scenario(args.scenario)
-    except (ScenarioError, DegreeOverflow) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    suite_names, ctx, raw = load_scenario(args.scenario)
     try:
         entries = run_suites(suite_names, ctx)
-    except (NotClosed, Degenerate, NotHamiltonian, NonInvertible) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except DegreeOverflow as exc:
-        print(f"input error: {_degree_limit_message(ctx, exc)}", file=sys.stderr)
-        return 2
+        raise InputError(_degree_limit_message(ctx, exc)) from exc
     report = render_report(entries, raw)
     if args.format == "json":
         payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -453,11 +444,7 @@ def cmd_verify(args):
     try:
         _write_atomically(args.report, payload)
     except OSError as exc:
-        print(
-            f"input error: report: cannot write {args.report}: {exc.strerror or exc}",
-            file=sys.stderr,
-        )
-        return 2
+        raise InputError(f"report: cannot write {args.report}: {exc.strerror or exc}") from exc
     _write_stdout(f"{report_text(report)}report written to {args.report}\n")
     return 0 if report["all_passed"] else 1
 
@@ -518,22 +505,9 @@ DEMOS = {
 }
 
 
-def demo_text(name):
-    if name not in DEMOS:
-        raise UnknownDemo(name)
-    return DEMOS[name]()
-
-
 def cmd_demo(args):
-    try:
-        text = demo_text(args.name)
-    except UnknownDemo:
-        print(
-            f"input error: unknown demo {args.name!r}; choose from {sorted(DEMOS)}",
-            file=sys.stderr,
-        )
-        return 2
-    _write_stdout(text + "\n")
+    _require(args.name in DEMOS, f"unknown demo {args.name!r}; choose from {sorted(DEMOS)}")
+    _write_stdout(DEMOS[args.name]() + "\n")
     return 0
 
 
@@ -548,16 +522,12 @@ def cmd_primitive(args):
         _require(_is_int(n) and 1 <= n <= MAX_N, f"n: must be an integer in 1..{MAX_N}")
         form = load_form(n, raw)
     except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-        print(f"input error: form: {exc}", file=sys.stderr)
-        return 2
-    if form.degree < 1:
-        print("input error: form: degree must be at least 1", file=sys.stderr)
-        return 2
+        raise InputError(f"form: {exc}") from exc
+    _require(form.degree >= 1, "form: degree must be at least 1")
     try:
         result = primitive(form)
-    except NotClosed:
-        print("input error: form: not closed, no primitive exists", file=sys.stderr)
-        return 2
+    except NotClosed as exc:
+        raise InputError("form: not closed, no primitive exists") from exc
     payload = {"n": n, **serialize.form_to_obj(result)}
     _write_stdout(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
@@ -595,6 +565,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (InputError, DegreeOverflow) as exc:
+        # a DegreeOverflow here comes from the twist checks of load_scenario
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         # a fault of the program, never a verdict on the identities
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -47,7 +47,3 @@ class Degenerate(ValueError):
 
 class NonInvertible(ValueError):
     """A gauge transformation whose defining bundle map has zero determinant."""
-
-
-class UnknownDemo(KeyError):
-    """An unrecognized demo name."""

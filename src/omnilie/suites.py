@@ -90,7 +90,11 @@ class SuiteSpec:
     None when it never reads ``forms.omega``, "closed" when it reads it
     as its closed 3-form twist, "nondegenerate" when it also builds the
     graph's observables from it, and "constant" when it also needs the
-    graph's Hamiltonian derivations to be polynomial.  ``runner(ctx)``
+    graph's Hamiltonian derivations to be polynomial.  ``load_scenario``
+    checks a named twist against these needs before any suite runs.
+    Once the suites run, the degree limit is the one input error, and any
+    other exception is a fault of the program (exit 3), so a table that
+    reads ``forms.omega`` must declare its need here.  ``runner(ctx)``
     returns the rows of the table, by default by running every unit of
     ``units(ctx)`` in order, in process.  The field records let
     ``dataclasses.replace`` rebuild a spec (``perfbench/traced_verify.py``

@@ -27,7 +27,7 @@ from omnilie.cli import (
 from omnilie import serialize, suites
 from omnilie.atiyah import AtiyahForm
 from omnilie.errors import Degenerate, NotClosed
-from omnilie.scalar import MAX_DEGREE
+from omnilie.scalar import MAX_DEGREE, Scalar
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -266,12 +266,12 @@ def test_the_first_failing_suite_in_scenario_order_decides_the_error(
     _cpus(monkeypatch, cpus)
     scenario = write_scenario(tmp_path, suites=["atiyah-calculus", "gauge"])
     rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
-    assert rc == 2
-    assert capsys.readouterr().err == "input error: the first suite's error\n"
+    assert rc == 3
+    assert capsys.readouterr().err == "internal error: NotClosed: the first suite's error\n"
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_a_table_that_raises_while_built_exits_two_in_scenario_order(
+def test_a_table_that_raises_while_built_exits_three_in_scenario_order(
     tmp_path, capsys, monkeypatch, cpus
 ):
     def unbuildable(ctx):
@@ -284,17 +284,18 @@ def test_a_table_that_raises_while_built_exits_two_in_scenario_order(
     _patch_table(monkeypatch, "atiyah-calculus", lambda ctx: [suites.Row("raises", row)])
     _cpus(monkeypatch, cpus)
     # the first failing suite in scenario order decides the error, whether
-    # its table or one of its rows raises; alone, gauge leaves no unit to run
+    # its table or one of its rows raises; alone, gauge leaves no unit to run.
+    # A layer's exception while the suites run is a fault of the program.
     for names, error in (
-        (["gauge"], "the table's error"),
-        (["gauge", "atiyah-calculus"], "the table's error"),
-        (["atiyah-calculus", "gauge"], "the row's error"),
+        (["gauge"], "Degenerate: the table's error"),
+        (["gauge", "atiyah-calculus"], "Degenerate: the table's error"),
+        (["atiyah-calculus", "gauge"], "NotClosed: the row's error"),
     ):
         scenario = write_scenario(tmp_path, suites=names)
         report = tmp_path / "r.json"
         rc = main(["verify", "--scenario", str(scenario), "--report", str(report)])
-        assert rc == 2, names
-        assert capsys.readouterr().err == f"input error: {error}\n", names
+        assert rc == 3, names
+        assert capsys.readouterr().err == f"internal error: {error}\n", names
         assert not report.exists()
     _assert_no_child_left()
 
@@ -315,8 +316,8 @@ def test_the_first_failing_case_in_scenario_order_decides_the_error(
     _cpus(monkeypatch, cpus)
     scenario = write_scenario(tmp_path, suites=["gauge"])
     rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
-    assert rc == 2
-    assert capsys.readouterr().err == "input error: the first case's error\n"
+    assert rc == 3
+    assert capsys.readouterr().err == "internal error: NotClosed: the first case's error\n"
 
 
 def test_verify_rejects_bad_scenarios(tmp_path, capsys):
@@ -429,6 +430,40 @@ def test_verify_rejects_degenerate_twist_for_graph_suites(tmp_path, capsys):
     assert "nondegenerate" in capsys.readouterr().err
 
 
+# Two twists that break a hypothesis, each with the omega needs that
+# reject it: x3·e(1,2,inf) is not closed, and the zero 3-form is closed
+# but degenerate.  Each runs with every suite that runs at its n.
+_BROKEN_TWISTS = [
+    ("not-closed", 3, AtiyahForm(3, 3, {(0, 1, 3): Scalar.variable(3, 3)}),
+     {"closed", "nondegenerate", "constant"}),
+    ("zero", 2, AtiyahForm.zero(2, 3), {"nondegenerate", "constant"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, n, twist, rejected_by",
+    [
+        pytest.param(name, n, twist, rejected_by, id=f"{name}-{label}")
+        for label, n, twist, rejected_by in _BROKEN_TWISTS
+        for name, spec in suites.SUITES.items()
+        if spec.min_n <= n <= (spec.max_n or n)
+    ],
+)
+def test_each_suite_declares_the_twist_it_needs(tmp_path, capsys, name, n, twist, rejected_by):
+    # load_scenario alone judges the twist, from the suite's declared need;
+    # a suite that read the twist without declaring it would not exit 0.
+    scenario = write_scenario(
+        tmp_path, n=n, suites=[name], samples=1, max_degree=1,
+        forms={"omega": serialize.form_to_obj(twist)},
+    )
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    if suites.SUITES[name].omega in rejected_by:
+        assert rc == 2 and err.startswith("input error: forms.omega: "), (rc, err)
+    else:
+        assert (rc, err) == (0, "")
+
+
 def test_verify_text_format(tmp_path):
     scenario = write_scenario(tmp_path)
     report = tmp_path / "report.txt"
@@ -471,8 +506,6 @@ def test_primitive_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     got = serialize.form_from_obj(2, payload)
     assert got == AtiyahForm.basis(2, (0, 1))
-
-    from omnilie.scalar import Scalar
 
     not_closed = {
         "n": 3,

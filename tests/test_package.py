@@ -1,6 +1,9 @@
-"""The package resolves its public names on first access, from one table."""
+"""The package resolves its public names on first access, from one table,
+and its modules import and define nothing that they do not use."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +11,7 @@ import omnilie
 
 
 def test_every_public_name_is_the_object_of_its_home_module():
-    assert len(omnilie.__all__) == len(set(omnilie.__all__)) == 76
+    assert len(omnilie.__all__) == len(set(omnilie.__all__)) == 75
     for name in omnilie.__all__:
         home = importlib.import_module(f"omnilie.{omnilie._HOME[name]}")
         value = getattr(omnilie, name)
@@ -39,3 +42,47 @@ def test_the_registry_keeps_its_names():
     assert Row("label", lambda: None).rows(0, 1) == [("label", True, None)]
     assert SuiteContext(n=2, samples=1, seed=0).forms == {}
     assert len(SUITES) == 14
+
+
+# The package's own modules, parsed; no linter runs on them, so these
+# checks stand in for its unused-import and dead-code rules.
+SOURCES = {
+    path.name: path.read_text(encoding="utf-8")
+    for path in sorted(Path(omnilie.__file__).resolve().parent.glob("*.py"))
+}
+
+
+def test_every_import_is_used():
+    # A re-export for other modules carries `# noqa: F401` on its line.
+    unused = []
+    for name, text in SOURCES.items():
+        tree, lines = ast.parse(text), text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]
+            ):
+                continue
+            unused += [
+                f"{name}:{node.lineno} {bound}"
+                for bound in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                if bound not in used
+            ]
+    assert unused == []
+
+
+def test_every_private_function_and_class_is_referenced():
+    defined, referenced = [], set()
+    for name, text in SOURCES.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and (
+                node.name.startswith("_") and not node.name.endswith("__")
+            ):
+                defined.append((name, node.lineno, node.name))
+    assert [entry for entry in defined if entry[2] not in referenced] == []
