@@ -93,6 +93,35 @@ def load_form(n, obj):
     return form
 
 
+def _check_twist(n, omega, suites, needs):
+    """Raise InputError unless ``omega`` is a twist fit for the suites,
+    whose ``SuiteSpec.omega`` needs are ``needs``.  The closedness and
+    rank checks multiply its coefficients, so they may raise
+    DegreeOverflow."""
+    from .atiyah import differential
+
+    _require(
+        omega.degree == 3, f"forms.omega: the twist must have degree 3 (got {omega.degree})"
+    )
+    _require(differential(omega).is_zero(), "forms.omega: the twist must be closed")
+    if needs & {"nondegenerate", "constant"}:
+        from . import linalg
+        from .observables import graph_of_form
+
+        _require(
+            linalg.rank(graph_of_form(omega)._form_matrix()) == n + 1,
+            "forms.omega: the twist must be nondegenerate for the graph suites",
+        )
+    if "constant" in needs:
+        # The injectivity certificates read monomial coefficients of the
+        # graph's Hamiltonian derivations.  At n = 2 the twist has one
+        # coefficient c, and those derivations are polynomial exactly
+        # when c is a constant.
+        constant = all(c.is_polynomial() and c.num.is_constant() for c in omega.coeffs.values())
+        names = ", ".join(name for name in suites if SUITES[name].omega == "constant")
+        _require(constant, f"forms.omega: {names} needs a twist with constant coefficients")
+
+
 def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -168,35 +197,10 @@ def load_scenario(path):
             raise InputError(f"forms.{name}: {exc}") from exc
     needs = {SUITES[name].omega for name in suites} - {None}
     if "omega" in forms and needs:
-        from .atiyah import differential
-
-        _require(
-            forms["omega"].degree == 3,
-            f"forms.omega: the twist must have degree 3 (got {forms['omega'].degree})",
-        )
-        _require(
-            differential(forms["omega"]).is_zero(),
-            "forms.omega: the twist must be closed",
-        )
-        if needs & {"nondegenerate", "constant"}:
-            from . import linalg
-            from .observables import graph_of_form
-
-            xi = graph_of_form(forms["omega"])
-            _require(
-                linalg.rank(xi._form_matrix()) == n + 1,
-                "forms.omega: the twist must be nondegenerate for the graph suites",
-            )
-        if "constant" in needs:
-            # The injectivity certificates read monomial coefficients of the
-            # graph's Hamiltonian derivations.  At n = 2 the twist has one
-            # coefficient c, and those derivations are polynomial exactly
-            # when c is a constant.
-            constant = all(
-                c.is_polynomial() and c.num.is_constant() for c in forms["omega"].coeffs.values()
-            )
-            names = ", ".join(name for name in suites if SUITES[name].omega == "constant")
-            _require(constant, f"forms.omega: {names} needs a twist with constant coefficients")
+        try:
+            _check_twist(n, forms["omega"], suites, needs)
+        except DegreeOverflow as exc:
+            raise InputError(f"forms.omega: {exc}") from exc
     for name, degree in (("B", 2), ("theta", 2)):
         if name in forms:
             _require(
@@ -528,6 +532,9 @@ def cmd_primitive(args):
         result = primitive(form)
     except NotClosed as exc:
         raise InputError("form: not closed, no primitive exists") from exc
+    except DegreeOverflow as exc:
+        # the closedness check multiplies the form's coefficients
+        raise InputError(f"form: {exc}") from exc
     payload = {"n": n, **serialize.form_to_obj(result)}
     _write_stdout(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
@@ -565,8 +572,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DegreeOverflow) as exc:
-        # a DegreeOverflow here comes from the twist checks of load_scenario
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -12,8 +12,18 @@ package, so every layer can use it.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+# hashlib maps OpenSSL's libcrypto into the process for one short hash per
+# case; the interpreter's built-in SHA-256 gives the same digest, as
+# random.py takes its SHA-512.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class CheckResult:
@@ -51,7 +61,7 @@ def outcome(label, value, context=None):
 def derive_seed(master, *parts):
     """A 64-bit seed from the master seed and the parts, stable across runs."""
     text = ":".join([str(master)] + [str(p) for p in parts])
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    digest = sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 

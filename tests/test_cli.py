@@ -543,12 +543,13 @@ def test_console_entry_point_subprocess(tmp_path, cli_env):
 
 def test_the_cli_imports_neither_dataclasses_nor_inspect(cli_env):
     # Each would add its own imports (inspect pulls in ast, dis and
-    # tokenize) to the start-up of every command.  The worker pool's
-    # pickle loads only when it runs, and neither tempfile nor a pool
-    # module loads at all.
+    # tokenize, hashlib maps OpenSSL's libcrypto) to the start-up of
+    # every command.  The worker pool's pickle loads only when it runs,
+    # and neither tempfile nor a pool module loads at all.
     heavy = [
         "dataclasses", "inspect", "ast", "dis", "tokenize",
         "concurrent.futures", "multiprocessing", "pickle", "tempfile",
+        "hashlib", "_hashlib",
     ]
     code = f"import sys, omnilie.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
     proc = subprocess.run(
@@ -606,6 +607,34 @@ def test_a_verify_loads_only_the_layers_of_its_suites(tmp_path, cli_env, cpus, s
     loaded = _omnilie_modules(cli_env, code, str(path), str(tmp_path / "r.json"))
     assert set(STARTUP_MODULES) < set(loaded)
     assert not set(unused) & set(loaded)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_verify_loads_neither_hashlib_nor_libcrypto(tmp_path, cli_env, cpus):
+    # Seeds hash with the interpreter's built-in SHA-256.  The forked
+    # workers import nothing (test_forked_workers_import_nothing), so
+    # they map what the parent maps.
+    path = write_scenario(tmp_path, suites="all", samples=1)
+    code = (
+        "import json, os, sys\n"
+        f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
+        "from omnilie import cli\n"
+        "assert cli.main(['verify', '--scenario', sys.argv[1], '--report', sys.argv[2]]) == 0\n"
+        "maps = None\n"
+        "if os.path.exists('/proc/self/maps'):\n"
+        "    with open('/proc/self/maps') as handle:\n"
+        "        maps = 'libcrypto' in handle.read()\n"
+        "print(json.dumps([sorted({'hashlib', '_hashlib'} & set(sys.modules)), maps]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(path), str(tmp_path / "r.json")],
+        capture_output=True, text=True, env=cli_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, maps_libcrypto = json.loads(proc.stdout.splitlines()[-1])
+    assert modules == []
+    if maps_libcrypto is not None:  # no /proc to read on this system
+        assert not maps_libcrypto
 
 
 def test_forked_workers_import_nothing(tmp_path, cli_env):
@@ -832,6 +861,30 @@ def test_verify_rejects_products_past_the_degree_limit(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "above the limit" in err
     assert "max_degree 1 and forms B" in err
+
+
+def test_verify_names_the_twist_whose_checks_pass_the_degree_limit(tmp_path, capsys):
+    # x1^MAX_DEGREE fits the limit; the rank check of the graph squares it
+    twist = _twist_obj({"numerator": [_term([MAX_DEGREE, 0])]})
+    scenario = write_scenario(tmp_path, suites=["dg-leibniz"], samples=1, forms={"omega": twist})
+    report = tmp_path / "r.json"
+    rc = main(["verify", "--scenario", str(scenario), "--report", str(report)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("input error: forms.omega: ") and "above the limit" in err
+    assert not report.exists()
+
+
+def test_primitive_names_the_form_whose_check_passes_the_degree_limit(tmp_path, capsys):
+    # the closedness check of 1/x1^300 squares its denominator
+    value = {"numerator": [_term([0, 0])], "denominator": [_term([300, 0])]}
+    path = tmp_path / "form.json"
+    form = {"degree": 1, "coeffs": [{"indices": [1], "value": value}]}
+    path.write_text(json.dumps({"n": 2, **form}), encoding="utf-8")
+    assert main(["primitive", "--form", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error: form: ") and "above the limit" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_names_max_degree_when_products_pass_the_limit(tmp_path, capsys):

@@ -86,3 +86,43 @@ def test_every_private_function_and_class_is_referenced():
             ):
                 defined.append((name, node.lineno, node.name))
     assert [entry for entry in defined if entry[2] not in referenced] == []
+
+
+# Modules whose import the package keeps out of every process: each loads
+# more than its one use would need (hashlib maps OpenSSL's libcrypto,
+# inspect pulls in ast, dis and tokenize).  The runtime checks of
+# tests/test_cli.py see only the paths that a test runs.
+BANNED = {
+    "hashlib", "dataclasses", "inspect", "tempfile", "importlib", "concurrent",
+    "multiprocessing",
+}
+
+
+def test_no_module_imports_a_banned_module():
+    # An import in an `except ImportError` handler is a fallback: it runs
+    # only where the import of its `try` fails, as sampling's hashlib does
+    # on an interpreter without a built-in SHA-256 module.
+    found = []
+    for name, text in SOURCES.items():
+        tree = ast.parse(text)
+        fallbacks = {
+            id(node)
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            and isinstance(handler.type, ast.Name)
+            and handler.type.id in ("ImportError", "ModuleNotFoundError")
+            for node in ast.walk(handler)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{name}:{node.lineno} {module}"
+                for module in modules
+                if module.split(".")[0] in BANNED and id(node) not in fallbacks
+            ]
+    assert found == []

@@ -47,6 +47,17 @@ def test_seed_derivation_is_stable():
     assert derive_seed(7, "a", 1) != derive_seed(8, "a", 1)
 
 
+@pytest.mark.parametrize("master", [-5, 0, 20240611, 10**30])
+@pytest.mark.parametrize("tag", ["lc-omni", "oracle:two-term:3", "jacobi"])
+def test_seeds_are_the_leading_bytes_of_a_sha256(master, tag):
+    # Seeds hash with the interpreter's built-in SHA-256, not hashlib's;
+    # every draw, report and pin depends on the two agreeing.
+    for case in (0, 1, 31):
+        text = f"{master}:{tag}:{case}".encode("utf-8")
+        expected = int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
+        assert derive_seed(master, tag, case) == expected
+
+
 def small_ctx(**overrides):
     base = dict(n=2, samples=2, seed=5, max_degree=1, coeff_bound=2, forms={})
     base.update(overrides)
