@@ -274,7 +274,7 @@ def differential(omega):
 def _gather_lie_derivative(gathered, delta, omega):
     """Gather ``lie_derivative(delta, omega)``."""
     n = omega.n
-    brackets = _basis_brackets(delta) if omega.degree else ()
+    brackets = remembered(delta, None, (), _basis_brackets) if omega.degree else ()
     for key in index_subsets(n, omega.degree):
         value = omega.coeffs.get(key)
         terms = None
@@ -318,8 +318,10 @@ def lie_derivative(delta, omega):
     return _summed(omega.n, omega.degree, gathered)
 
 
-def _basis_brackets(delta):
-    """[delta, e_t] for each basis direction; None for the unit (central)."""
+def _basis_brackets(delta, _):
+    """[delta, e_t] for each basis direction; None for the unit (central).
+
+    Depends on ``delta`` alone, so it is kept on ``delta`` under None."""
     n = delta.n
     out = []
     for t in range(n):

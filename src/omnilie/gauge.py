@@ -20,8 +20,9 @@ class Derivation:
     """A first-order differential operator on sections: (symbol, endo).
 
     ``_memo`` is None or a dict of the results of the :func:`commutator`
-    with a derivation and the :func:`~omnilie.atiyah.contract` into a
-    form (see :func:`remembered`).  Instances are immutable.
+    with a derivation, the :func:`~omnilie.atiyah.contract` into a form
+    and the brackets with the basis that a Lie derivative reads (see
+    :func:`remembered`).  Instances are immutable.
     """
 
     __slots__ = ("n", "symbol_coeffs", "endo", "_memo")

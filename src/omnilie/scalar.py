@@ -110,9 +110,12 @@ class Polynomial:
     immutable; read coefficients through :meth:`coefficient` and
     :meth:`items`.
 
-    ``_memo`` is None or a list of ``nvars + 1`` entries: at 0 the last
-    Kronecker image of the numerators as ``((base, width), int)``, at i
-    the partial derivative in x_i.  Both depend only on the polynomial.
+    ``_memo`` is None or a list of ``nvars + 2`` entries, each None until
+    first asked for: at 0 the last Kronecker image of the numerators as
+    ``((base, width), image)``, the image one int or a list of ints (see
+    :func:`_kronecker_sum`); at i in 1..nvars the partial derivative in
+    x_i; at nvars + 1 the height, the largest absolute numerator.  All
+    depend only on the polynomial.
     """
 
     __slots__ = ("nvars", "terms", "den", "_memo")
@@ -303,7 +306,7 @@ class Polynomial:
             raise IndexOutOfRange(f"variable index {index} outside 1..{n}")
         memo = self._memo
         if memo is None:
-            memo = self._memo = [None] * (n + 1)
+            memo = self._memo = [None] * (n + 2)
         elif memo[index] is not None:
             return memo[index]
         shift = (n - index) * _BITS
@@ -907,6 +910,13 @@ def sum_of_products(n, terms):
 # encoding and decoding cost more than the dict loop saves.
 _KRONECKER_WORK = 256
 
+# A Kronecker box whose chunk, the slots of one exponent of x1, holds at
+# least this many bits is multiplied chunk by chunk.  Replayed on the
+# workloads' sums, chunks took 0.36-0.80 of the one integer's time from
+# 1,296 bits (n = 3, base 9, 16-bit slots), 0.92 at 1,024 bits, and lost
+# at 784 bits and below (1.08-1.38) and in every n = 2 box (2.0-2.4).
+_KRONECKER_CHUNK = 1200
+
 # Kronecker slot widths in bits, each with the memoryview code of an
 # unsigned item of that width.
 _SLOT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
@@ -953,16 +963,28 @@ def _add_products(n, prods, den, top, work):
     return acc
 
 
+def _height(p):
+    """The largest absolute numerator of a nonzero polynomial, kept in its
+    memo."""
+    memo = p._memo
+    if memo is None:
+        memo = p._memo = [None] * (p.nvars + 2)
+    else:
+        h = memo[-1]
+        if h is not None:
+            return h
+    memo[-1] = h = max(map(abs, p.terms.values()))
+    return h
+
+
 def _slot_width(prods, den):
     """The narrowest slot width that holds a sign bit and a bound on every
     input and output coefficient of the sum, or 0 past 64 bits."""
     bound = 0
     for sign, p, q, d in prods:
-        ta = p.terms
-        c = abs(sign) * (den // d) * max(map(abs, ta.values()))
+        c = abs(sign) * (den // d) * _height(p)
         if q is not None:
-            tb = q.terms
-            c *= max(map(abs, tb.values())) * min(len(ta), len(tb))
+            c *= _height(q) * min(len(p.terms), len(q.terms))
         bound += c
     bits = bound.bit_length() + 1
     for width in _SLOT_CODES:
@@ -983,19 +1005,28 @@ def _kronecker_sum(n, prods, den, top, width):
     next: an image is written into a copy of a template whose every slot
     holds the bias, and the sum is read back through one memoryview of its
     bytes.  Each polynomial keeps its last image.
+
+    Only the total-degree simplex of the box is ever nonzero, yet one
+    integer multiplies every slot of it.  So a box whose chunk of the
+    ``(top + 1)^(n - 1)`` slots of one exponent of x1 holds at least
+    ``_KRONECKER_CHUNK`` bits takes _chunked_sum, where an image is one
+    integer per exponent of x1.  Its output is the same dict.
     """
     base = top + 1
+    size = base ** (n - 1)
+    if size * width >= _KRONECKER_CHUNK:
+        return _chunked_sum(n, prods, den, base, size, width)
     slots, gather = _kronecker_layout(n, base)
     key = (base, width)
     code = _SLOT_CODES[width]
     half = 1 << (width - 1)
-    template = half.to_bytes(width >> 3, sys.byteorder) * base**n
+    template = half.to_bytes(width >> 3, sys.byteorder) * (base * size)
     bias = int.from_bytes(template, sys.byteorder)
 
     def image(p):
         memo = p._memo
         if memo is None:
-            memo = p._memo = [None] * (n + 1)
+            memo = p._memo = [None] * (n + 2)
         elif memo[0] is not None and memo[0][0] == key:
             return memo[0][1]
         data = bytearray(template)
@@ -1013,6 +1044,68 @@ def _kronecker_sum(n, prods, den, top, width):
             x *= image(q)
         total += (sign if d == den else sign * (den // d)) * x
     data = (total + bias).to_bytes(len(template), sys.byteorder)
+    values = gather(memoryview(data).cast(code))
+    return {m: v - half for m, v in zip(slots, values) if v != half}
+
+
+def _chunked_sum(n, prods, den, base, size, width):
+    """_kronecker_sum with each image cut into chunks by the exponent of x1.
+
+    Chunk i of an image is the integer of the ``size`` slots of x2..xn
+    under x1^i, each biased as in the one-integer image, less the bias;
+    the list ends at the highest nonzero chunk.  A product of two
+    monomials adds their x1 exponents and, because its degree stays below
+    ``base``, adds their x2..xn slots without a carry past the chunk.  So
+    a product of images is the convolution of their chunk lists, added
+    into one running integer per exponent of x1.  Their biased bytes,
+    joined in order, are the one-integer layout, read through the same
+    gather.
+    """
+    slots, gather = _kronecker_layout(n, base)
+    key = (base, width)
+    code = _SLOT_CODES[width]
+    half = 1 << (width - 1)
+    step = size * width >> 3  # bytes per chunk
+    chunk = half.to_bytes(width >> 3, sys.byteorder) * size
+    bias = int.from_bytes(chunk, sys.byteorder)
+    shift = n * _BITS
+
+    def image(p):
+        memo = p._memo
+        if memo is None:
+            memo = p._memo = [None] * (n + 2)
+        elif memo[0] is not None and memo[0][0] == key:
+            return memo[0][1]
+        # no exponent of x1 passes the total degree
+        data = bytearray(chunk * ((max(p.terms) >> shift) + 1))
+        view = memoryview(data).cast(code)
+        for m, c in p.terms.items():
+            view[slots[m]] = c + half
+        view = memoryview(data)
+        x = [
+            int.from_bytes(view[i : i + step], sys.byteorder) - bias
+            for i in range(0, len(data), step)
+        ]
+        while not x[-1]:
+            x.pop()
+        memo[0] = (key, x)
+        return x
+
+    acc = [0] * base
+    for sign, p, q, d in prods:
+        scale = sign if d == den else sign * (den // d)
+        xs = image(p)
+        if q is None:
+            for i, x in enumerate(xs):
+                acc[i] += scale * x
+            continue
+        ys = image(q)
+        for i, x in enumerate(xs):
+            if x:
+                x *= scale
+                for j, y in enumerate(ys, i):
+                    acc[j] += x * y
+    data = b"".join([(x + bias).to_bytes(step, sys.byteorder) for x in acc])
     values = gather(memoryview(data).cast(code))
     return {m: v - half for m, v in zip(slots, values) if v != half}
 

@@ -138,6 +138,26 @@ def test_lie_derivative_against_brute_oracle():
                 ) == brute_lie_value(delta, omega, deltas)
 
 
+def test_basis_brackets_are_kept_on_the_derivation(monkeypatch):
+    # Lie derivatives along one derivation build its brackets with the
+    # basis once, and give what a fresh copy of it gives.
+    from omnilie import atiyah
+
+    rng = random.Random(7)
+    delta = random_derivation(2, rng, 2, 2)
+    forms = [random_form(2, k, rng, 2, 2) for k in (0, 1, 2, 1)]
+    fresh = [lie_derivative(Derivation(delta.symbol_coeffs, delta.endo), omega) for omega in forms]
+    build, built = atiyah._basis_brackets, []
+
+    def counted(d, other):
+        built.append(d)
+        return build(d, other)
+
+    monkeypatch.setattr(atiyah, "_basis_brackets", counted)
+    assert [lie_derivative(delta, omega) for omega in forms] == fresh
+    assert len(built) == 1 and built[0] is delta
+
+
 def test_primitive_examples():
     assert primitive(AtiyahForm.basis(1, (1,))) == as_form(Scalar.one(1))
     top = AtiyahForm.basis(2, (0, 1, 2))

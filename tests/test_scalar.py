@@ -4,7 +4,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from omnilie import linalg, scalar
 from omnilie.errors import DegreeOverflow, DivisionByZero, IndexOutOfRange
@@ -391,19 +391,38 @@ def test_sum_of_products_checks_the_degree_limit():
         sum_of_products(2, [(1, high, y), (-1, high, y)])
 
 
+class Taken(list):
+    """The recorded arguments of the Kronecker sums, in order, and in
+    ``layouts`` the layout each one took: "int" or "chunked"."""
+
+    def __init__(self):
+        super().__init__()
+        self.layouts = []
+
+
 @contextmanager
 def kronecker_sums(arg=0):
     """Record the variable count (argument ``arg`` of the kernel; 4 is the
-    slot width) of every sum that takes the Kronecker path."""
-    taken = []
-    kernel = scalar._kronecker_sum
+    slot width) of every sum that takes the Kronecker path, and its
+    layout: chunked when the kernel handed it to ``_chunked_sum``."""
+    taken = Taken()
+    kernel, chunked = scalar._kronecker_sum, scalar._chunked_sum
+    chunks = []
 
     def counted(*args):
+        before = len(chunks)
+        result = kernel(*args)
         taken.append(args[arg])
-        return kernel(*args)
+        taken.layouts.append("chunked" if len(chunks) > before else "int")
+        return result
+
+    def counted_chunks(*args):
+        chunks.append(args)
+        return chunked(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scalar, "_kronecker_sum", counted)
+        mp.setattr(scalar, "_chunked_sum", counted_chunks)
         yield taken
 
 
@@ -461,30 +480,70 @@ def test_kronecker_sums_take_rational_weights(terms, weights):
     assert total == looped == _left_to_right(3, terms)
 
 
+def bound_factors(box, c):
+    """Factors whose sum of products has one coefficient at its slot bound.
+
+    "int": 256 equal products c * x1 in a box of 2^3 slots, one integer.
+    "chunked": 64 equal products of c * (1 + x1 + x1^2 + x1^3) and
+    (1 + x1 + ... + x1^5) * x3, each with coefficient 4c, the bound of a
+    product of 4-term factors, at x1^3 x3, x1^4 x3 and x1^5 x3: a box of
+    10^3 slots cut into chunks of 100 at every slot width from 16 bits.
+    """
+    if box == "int":
+        return Scalar.from_fraction(3, c), Scalar.variable(3, 1), 256
+    x1, _, x3 = variables(3)
+    a = c * (1 + x1 + x1**2 + x1**3)
+    b = sum((x1**j for j in range(6)), Scalar.zero(3)) * x3
+    return a, b, 64
+
+
 @pytest.mark.parametrize("bits", [16, 24, 32, 64])
 def test_kronecker_slots_hold_coefficients_at_their_bound(bits):
-    # 256 equal products c * x1 with c = 2^(bits - 9): the one coefficient
-    # of the sum is its bound 2^(bits - 1), whose bit length is a whole
-    # number of bytes, so the slot needs one more bit for the sign.  At 64
-    # bits that is past the widest slot, and the sum takes the loop.
-    x = Scalar.variable(3, 1)
-    c = Scalar.from_fraction(3, 2 ** (bits - 9))
-    for sign in (1, -1):
-        with kronecker_sums() as taken:
-            assert sum_of_products(3, [(sign, c, x)] * 256) == x * (sign * 2 ** (bits - 1))
-        assert taken == ([3] if bits < 64 else [])
+    # 256 equal products of coefficient c = 2^(bits - 9), or 64 of 4c: the
+    # largest coefficient of the sum is its bound 2^(bits - 1), whose bit
+    # length is a whole number of bytes, so the slot needs one more bit
+    # for the sign.  At 64 bits that is past the widest slot, and the sum
+    # takes the loop.
+    for box in ("int", "chunked"):
+        a, b, count = bound_factors(box, 2 ** (bits - 9))
+        for sign in (1, -1):
+            with kronecker_sums() as taken:
+                assert sum_of_products(3, [(sign, a, b)] * count) == a * b * (sign * count)
+            assert taken == ([3] if bits < 64 else [])
+            assert taken.layouts == ([box] if bits < 64 else [])
 
 
 @pytest.mark.parametrize("bits", [16, 24, 32, 64])
 def test_kronecker_slots_hold_weighted_coefficients_at_their_bound(bits):
     # As above with the weight 4 carrying a quarter of the factor: the
     # slot bound must count the weight's numerator.
-    x = Scalar.variable(3, 1)
-    c = Scalar.from_fraction(3, 2 ** (bits - 11))
-    for weight in (4, -4):
-        with kronecker_sums() as taken:
-            assert sum_of_products(3, [(weight, c, x)] * 256) == x * (weight // 4 * 2 ** (bits - 1))
-        assert taken == ([3] if bits < 64 else [])
+    for box in ("int", "chunked"):
+        a, b, count = bound_factors(box, 2 ** (bits - 11))
+        for weight in (4, -4):
+            with kronecker_sums() as taken:
+                assert sum_of_products(3, [(weight, a, b)] * count) == a * b * (weight * count)
+            assert taken == ([3] if bits < 64 else [])
+            assert taken.layouts == ([box] if bits < 64 else [])
+
+
+@pytest.mark.parametrize("width", [16, 32, 64])
+def test_kronecker_slots_hold_the_ends_of_their_range(width):
+    # The products of bound_factors with c = 2^(width - 9) - 1 and a lone
+    # term of 255 at one of their largest monomials: that coefficient is
+    # the bound 2^(width - 1) - 1, which just fits a slot of ``width``
+    # bits, at either sign, so each slot's bias must be half its range.
+    for box in ("int", "chunked"):
+        a, b, count = bound_factors(box, 2 ** (width - 9) - 1)
+        product = (a * b).num.terms
+        peak = max(product, key=lambda m: abs(product[m]))
+        lone = Scalar(Polynomial._raw(3, {peak: 255}))
+        for sign in (1, -1):
+            terms = [(sign, a, b)] * count + [(sign, lone, None)]
+            with kronecker_sums(4) as taken:
+                total = sum_of_products(3, terms)
+            assert taken == [width] and taken.layouts == [box]
+            assert total == (a * b * count + lone) * sign
+            assert total.num.terms[peak] == sign * (2 ** (width - 1) - 1)
 
 
 def test_dense_sums_take_the_kronecker_path_and_sparse_ones_do_not():
@@ -557,6 +616,136 @@ def test_kronecker_sums_at_each_slot_width(width, data):
             looped = sum_of_products(n, terms)
         assert total == looped == _left_to_right(n, terms)
         assert list(total.num.terms) == sorted(total.num.terms)
+
+
+def dense(n, degree, shift=0):
+    """The polynomial scalar with a term at every monomial of degree <=
+    ``degree``, its coefficients cycling through 1, 2, 3 from ``shift``."""
+    monos = monomials_upto(n, degree)
+    return Scalar(Polynomial(n, {m: 1 + (i + shift) % 3 for i, m in enumerate(monos)}))
+
+
+def test_the_chunk_rule_sides():
+    # One dense product per box, its coefficient bound 35 * 9 or less in
+    # 16-bit slots: at n = 3 a box of base 9 has chunks of 81 slots, 1,296
+    # bits, and chunks; one of base 8 has 1,024 bits and does not.  At
+    # n = 2 a chunk of base 9 is 9 slots, and two products fill the box.
+    cases = [
+        (3, [(dense(3, 4), dense(3, 4, 1))], "chunked"),
+        (3, [(dense(3, 4), dense(3, 3, 1))], "int"),
+        (2, [(dense(2, 4), dense(2, 4, 1)), (dense(2, 4, 2), dense(2, 4))], "int"),
+    ]
+    for n, pairs, layout in cases:
+        terms = [(1, a, b) for a, b in pairs]
+        with kronecker_sums(4) as taken:
+            total = sum_of_products(n, terms)
+        assert taken == [16] and taken.layouts == [layout]
+        assert total == _left_to_right(n, terms)
+        assert list(total.num.terms) == sorted(total.num.terms)
+
+
+def test_an_image_follows_its_box_between_layouts():
+    # One polynomial takes part in a one-integer sum, a chunked sum and
+    # the first box again; its memo holds the image of the last box, as
+    # one int or a list of chunks, and its height.
+    shared = dense(3, 4)
+    one = [(1, shared, dense(3, 3, 1)), (-1, dense(3, 3, 2), shared)]
+    chunked = [(1, shared, dense(3, 4, 1))]
+    for terms, base, kind in [(one, 8, int), (chunked, 9, list), (one, 8, int)]:
+        with kronecker_sums(4) as taken:
+            total = sum_of_products(3, terms)
+        assert taken == [16] and taken.layouts == ["chunked" if kind is list else "int"]
+        key, image = shared.num._memo[0]
+        assert key == (base, 16) and type(image) is kind
+        assert total == _left_to_right(3, terms)
+    assert shared.num._memo[-1] == 3
+
+
+# For each variable count and slot width, the largest box that keeps one
+# integer and the smallest that is chunked, by base: (top + 1)^(n - 1)
+# slots of x2..xn per chunk, each ``width`` bits, either side of the rule.
+RULE_BOXES = {
+    (3, 8): (12, 13), (3, 16): (8, 9), (3, 32): (6, 7), (3, 64): (4, 5),
+    (4, 8): (5, 6), (4, 16): (4, 5), (4, 32): (3, 4), (4, 64): (2, 3),
+}
+
+
+@st.composite
+def box_terms(draw, n, base, cap):
+    """Products of polynomial scalars in n variables that fill a box of
+    ``base``: products of dense factors of degree base - 1, drawn until
+    they make base^n coefficient products and at least _KRONECKER_WORK,
+    so the sum takes the Kronecker path, and up to 3 products of one-term and constant factors and 3
+    lone terms (b None).  Coefficients are integers in -cap..cap, each
+    factor's leading one +-cap, over a drawn denominator when cap > 1;
+    weights are +-1, or also from WEIGHTS when cap > 1.  Terms repeated at
+    the other sign cancel the sum in full or in part."""
+    top = base - 1
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sign = st.sampled_from([1, -1] + WEIGHTS * (cap > 1))
+    den = st.sampled_from([1, 2, 3] if cap > 1 else [1])
+    degree = st.integers(0, top)
+
+    def factor(degree, shape="dense"):
+        monos = monomials_upto(n, degree)
+        lead = rng.choice([m for m in monos if sum(m) == degree])
+        if shape == "constant":
+            lead = (0,) * n
+        if shape != "dense":
+            monos = [lead]
+        terms = {m: rng.randint(-cap, cap) for m in monos}
+        terms[lead] = rng.choice([cap, -cap])
+        return Scalar(Polynomial(n, terms)) / draw(den)
+
+    terms, work = [], 0
+    while work < max(base**n, scalar._KRONECKER_WORK):
+        first = draw(degree)
+        a, b = factor(first), factor(top - first)
+        terms.append((draw(sign), a, b))
+        work += len(a.num.terms) * len(b.num.terms)
+    shape = st.sampled_from(["one", "constant"])
+    for _ in range(draw(st.integers(0, 3))):
+        first = draw(degree)
+        terms.append((draw(sign), factor(first, draw(shape)), factor(top - first, draw(shape))))
+    for _ in range(draw(st.integers(0, 3))):
+        terms.append((draw(sign), factor(draw(degree), draw(shape)), None))
+    cancelled = draw(st.one_of(st.just(list(terms)), st.lists(st.sampled_from(terms), max_size=3)))
+    terms += [(-weight, a, b) for weight, a, b in cancelled]
+    return draw(st.permutations(terms))
+
+
+# A coefficient cap per slot width, low enough that most sums of
+# box_terms fit the width and high enough that many need it.
+SLOT_CAPS = {8: 1, 16: 2, 32: 60, 64: 10**5}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("n, width", sorted(RULE_BOXES))
+def test_kronecker_sums_either_side_of_the_chunk_rule(n, width, side, data):
+    # The sum runs at the drawn box's width: a slot wider than the bound
+    # asks holds the sum as well, so _slot_width is raised to ``width``,
+    # and a draw whose bound needs a wider slot is dropped.
+    base = RULE_BOXES[n, width][side]
+    terms = data.draw(box_terms(n, base, SLOT_CAPS[width]))
+    natural = scalar._slot_width
+    needed = []
+
+    def at_least(prods, den):
+        needed.append(natural(prods, den))
+        return needed[-1] and max(needed[-1], width)
+
+    with kronecker_sums(4) as taken, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_slot_width", at_least)
+        total = sum_of_products(n, terms)
+    assume(0 < needed[0] <= width)
+    assert taken == [width] and taken.layouts == [["int", "chunked"][side]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scalar, "_KRONECKER_WORK", float("inf"))
+        looped = sum_of_products(n, terms)
+    assert total == looped == _left_to_right(n, terms)
+    assert list(total.num.terms) == sorted(total.num.terms)
 
 
 def _product_by_items(a, b):
