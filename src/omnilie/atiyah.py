@@ -205,7 +205,7 @@ def _summed(n, degree, gathered):
 
 def _gather_contract(gathered, delta, omega, weight=1):
     """Gather ``weight * contract(delta, omega)``."""
-    coeffs = (*delta.symbol_coeffs, delta.endo)
+    coeffs = delta.coeffs
     for key, value in omega.coeffs.items():
         for pos, t in enumerate(key):
             c = coeffs[t]
@@ -287,7 +287,7 @@ def _gather_lie_derivative(gathered, delta, omega):
                 continue
             rest = key[:pos] + key[pos + 1 :]
             for u in range(n + 1):
-                cu = repl.coefficient(u)
+                cu = repl.coeffs[u]
                 if cu.is_zero():
                     continue
                 merged = _merge_index(rest, u)
@@ -322,15 +322,8 @@ def _basis_brackets(delta, _):
     """[delta, e_t] for each basis direction; None for the unit (central).
 
     Depends on ``delta`` alone, so it is kept on ``delta`` under None."""
-    n = delta.n
-    out = []
-    for t in range(n):
-        sym = tuple(-a.derive(t + 1) for a in delta.symbol_coeffs)
-        endo = -delta.endo.derive(t + 1)
-        d = Derivation(sym, endo)
-        out.append(d if not d.is_zero() else None)
-    out.append(None)
-    return out
+    brackets = (Derivation(-a.derive(t + 1) for a in delta.coeffs) for t in range(delta.n))
+    return [None if d.is_zero() else d for d in brackets] + [None]
 
 
 def primitive(omega):

@@ -1,23 +1,30 @@
 """Derivations of the trivialized line bundle.
 
 A derivation pairs a vector field (its symbol) with a multiplication
-part, acting on sections by ``delta(s) = sum a_i d_i s + endo * s``.
+part, acting on sections by ``delta(s) = sum a_i d_i s + a_unit * s``.
 With the bundle trivialized, the space of derivations is the free
-module of rank n+1 spanned by the coordinate derivations d_1..d_n and
-the unit derivation, which acts as the identity on sections and is
-central for the commutator.
+module of rank n+1 on the frame d_1..d_n, unit: the coordinate
+derivations and the unit derivation, which acts as the identity on
+sections and is central for the commutator.  A derivation is stored as
+its n + 1 coordinates on that frame, the unit's last, the order in
+which forms and sections index it too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import is_
+from operator import add, is_, neg, sub
 
 from .scalar import Scalar, random_polynomial, sum_of_products
 
 
 class Derivation:
-    """A first-order differential operator on sections: (symbol, endo).
+    """A first-order differential operator on sections, as its coordinates.
+
+    ``coeffs`` holds the n + 1 coordinates on the frame d_1..d_n, unit:
+    at i < n the coefficient of d_(i+1) (the symbol), at n the
+    multiplication part.  Forms and sections index the same frame, with
+    the unit at n.
 
     ``_memo`` is None or a dict of the results of the :func:`commutator`
     with a derivation, the :func:`~omnilie.atiyah.contract` into a form
@@ -25,48 +32,37 @@ class Derivation:
     :func:`remembered`).  Instances are immutable.
     """
 
-    __slots__ = ("n", "symbol_coeffs", "endo", "_memo")
+    __slots__ = ("n", "coeffs", "_memo")
 
-    def __init__(self, symbol_coeffs, endo):
-        self.symbol_coeffs = tuple(symbol_coeffs)
-        self.endo = endo
-        self.n = endo.nvars
+    def __init__(self, coeffs):
+        self.coeffs = coeffs = tuple(coeffs)
+        if not coeffs or len(coeffs) != coeffs[-1].nvars + 1:
+            raise ValueError("a derivation has one coordinate per variable, then the unit's")
+        self.n = len(coeffs) - 1
         self._memo = None
-        if len(self.symbol_coeffs) != self.n:
-            raise ValueError("symbol coefficient count must equal the variable count")
-
-    @classmethod
-    def zero(cls, n):
-        z = Scalar.zero(n)
-        return cls((z,) * n, z)
-
-    @classmethod
-    def unit(cls, n):
-        """The unit derivation: zero symbol, identity action on sections."""
-        return cls((Scalar.zero(n),) * n, Scalar.one(n))
-
-    @classmethod
-    def partial(cls, n, index):
-        """The coordinate derivation d/dx_index (1-based)."""
-        coeffs = [Scalar.zero(n)] * n
-        coeffs[index - 1] = Scalar.one(n)
-        return cls(tuple(coeffs), Scalar.zero(n))
 
     @classmethod
     def basis(cls, n, t):
         """Basis element by flat index: t in 0..n-1 gives d_(t+1), t == n the unit."""
-        if t == n:
-            return cls.unit(n)
-        return cls.partial(n, t + 1)
+        zero, one = Scalar.zero(n), Scalar.one(n)
+        return cls(one if u == t else zero for u in range(n + 1))
 
-    def coefficient(self, t):
-        """The coefficient along basis direction t (t == n is the unit slot)."""
-        if t == self.n:
-            return self.endo
-        return self.symbol_coeffs[t]
+    @classmethod
+    def zero(cls, n):
+        return cls((Scalar.zero(n),) * (n + 1))
+
+    @classmethod
+    def unit(cls, n):
+        """The unit derivation: zero symbol, identity action on sections."""
+        return cls.basis(n, n)
+
+    @classmethod
+    def partial(cls, n, index):
+        """The coordinate derivation d/dx_index (1-based)."""
+        return cls.basis(n, index - 1)
 
     def apply(self, s):
-        """Act on a section: symbol part differentiates, endo part multiplies."""
+        """Act on a section: symbol part differentiates, unit part multiplies."""
         return sum_of_products(self.n, self.apply_terms(s))
 
     __call__ = apply
@@ -74,7 +70,7 @@ class Derivation:
     def apply_terms(self, s, weight=1):
         """The products whose sum is ``weight * apply(s)``, as ``(weight,
         a, b)`` triples for :func:`sum_of_products`."""
-        return [(weight, self.endo, s), *self.symbol_terms(s, weight)]
+        return [(weight, self.coeffs[-1], s), *self.symbol_terms(s, weight)]
 
     def symbol_apply(self, f):
         """Act on a function by the symbol alone (no multiplication part)."""
@@ -84,59 +80,43 @@ class Derivation:
         """The products whose sum is ``weight * symbol_apply(f)``."""
         return [
             (weight, a, f.derive(i + 1))
-            for i, a in enumerate(self.symbol_coeffs)
+            for i, a in enumerate(self.coeffs[:-1])
             if not a.is_zero()
         ]
 
     def is_zero(self):
-        return self.endo.is_zero() and all(a.is_zero() for a in self.symbol_coeffs)
+        return all(a.is_zero() for a in self.coeffs)
 
     def __add__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        return Derivation(
-            tuple(a + b for a, b in zip(self.symbol_coeffs, other.symbol_coeffs)),
-            self.endo + other.endo,
-        )
+        return Derivation(map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        return Derivation(
-            tuple(a - b for a, b in zip(self.symbol_coeffs, other.symbol_coeffs)),
-            self.endo - other.endo,
-        )
+        return Derivation(map(sub, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return Derivation(
-            tuple(-a for a in self.symbol_coeffs), -self.endo
-        )
+        return Derivation(map(neg, self.coeffs))
 
     def scale(self, f):
         """Multiply by a scalar or rational: module structure over sections."""
         if isinstance(f, (int, Fraction)):
             f = Scalar.from_fraction(self.n, f)
-        return Derivation(
-            tuple(f * a for a in self.symbol_coeffs), f * self.endo
-        )
+        return Derivation(f * a for a in self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        return (
-            self.symbol_coeffs == other.symbol_coeffs and self.endo == other.endo
-        )
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.symbol_coeffs, self.endo))
+        return hash(self.coeffs)
 
     def __str__(self):
-        parts = []
-        for i, a in enumerate(self.symbol_coeffs):
-            if not a.is_zero():
-                parts.append(f"({a})*d{i + 1}")
-        if not self.endo.is_zero():
-            parts.append(f"({self.endo})*unit")
+        names = [f"d{i + 1}" for i in range(self.n)] + ["unit"]
+        parts = [f"({a})*{name}" for a, name in zip(self.coeffs, names) if not a.is_zero()]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -145,7 +125,7 @@ class Derivation:
 
 def symbol(delta):
     """The vector-field part of a derivation."""
-    return delta.symbol_coeffs
+    return delta.coeffs[:-1]
 
 
 def remembered(delta, other, parts, compute):
@@ -177,7 +157,7 @@ def commutator(d1, d2):
     """Commutator of derivations: ([X, Y], X(g) - Y(f)) for (X, f), (Y, g).
 
     The result is kept on ``d1`` (see :class:`Derivation`)."""
-    return remembered(d1, d2, (d2.symbol_coeffs, d2.endo), _commutator)
+    return remembered(d1, d2, (d2.coeffs,), _commutator)
 
 
 def _commutator(d1, d2):
@@ -187,12 +167,10 @@ def _commutator(d1, d2):
         # X(g) - Y(f), one sum of products
         return sum_of_products(n, d1.symbol_terms(g) + d2.symbol_terms(f, -1))
 
-    sym = tuple(map(component, d2.symbol_coeffs, d1.symbol_coeffs))
-    return Derivation(sym, component(d2.endo, d1.endo))
+    return Derivation(map(component, d2.coeffs, d1.coeffs))
 
 
 def random_derivation(n, rng, max_degree, coeff_bound):
-    coeffs = tuple(
-        random_polynomial(n, rng, max_degree, coeff_bound) for _ in range(n)
+    return Derivation(
+        random_polynomial(n, rng, max_degree, coeff_bound) for _ in range(n + 1)
     )
-    return Derivation(coeffs, random_polynomial(n, rng, max_degree, coeff_bound))

@@ -116,11 +116,10 @@ def sharp(J, alpha):
     rows = [
         (alpha.coeffs[(a,)], J.matrix[a]) for a in range(n + 1) if (a,) in alpha.coeffs
     ]
-    column = [
+    return Derivation(
         sum_of_products(n, [(1, ca, row[b]) for ca, row in rows if not row[b].is_zero()])
         for b in range(n + 1)
-    ]
-    return Derivation(column[:n], column[n])
+    )
 
 
 def section_derivation(J, s):

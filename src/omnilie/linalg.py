@@ -75,6 +75,11 @@ def _eliminate(matrix, ncols=None):
     return rows, pivots, d, (sign, scaled, multipliers)
 
 
+def from_columns(columns):
+    """The matrix, a list of rows, whose columns are these."""
+    return [list(row) for row in zip(*columns)]
+
+
 def rank(matrix):
     return len(_eliminate(matrix)[1])
 

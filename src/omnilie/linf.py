@@ -606,8 +606,7 @@ def section_map_matrix(fn, n, p):
         basis.append(
             DSection(Derivation.zero(n), AtiyahForm.basis(n, key))
         )
-    cols = [section_coordinates(fn(e)) for e in basis]
-    return [[col[i] for col in cols] for i in range(len(cols[0]))]
+    return linalg.from_columns(section_coordinates(fn(e)) for e in basis)
 
 
 def rescale_iso(lam, xi):

@@ -30,7 +30,7 @@ from . import linalg
 
 def section_coordinates(e):
     """Flat coordinate vector of a section: derivation slots then form slots."""
-    coords = [e.der.coefficient(t) for t in range(e.n + 1)]
+    coords = list(e.der.coeffs)
     for key in index_subsets(e.n, e.p):
         coords.append(e.form.coefficient(key))
     return coords
@@ -61,12 +61,10 @@ class Subbundle:
             raise ValueError("generators are linearly dependent over the fraction field")
 
     def _full_matrix(self):
-        cols = [section_coordinates(g) for g in self.generators]
-        return [[col[i] for col in cols] for i in range(len(cols[0]))]
+        return linalg.from_columns(section_coordinates(g) for g in self.generators)
 
     def _form_matrix(self):
-        cols = [form_coordinates(g.form) for g in self.generators]
-        return [[col[i] for col in cols] for i in range(len(cols[0]))]
+        return linalg.from_columns(form_coordinates(g.form) for g in self.generators)
 
     def contains(self, e):
         """Coefficients expressing e in the generators, or None."""

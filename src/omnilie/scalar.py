@@ -248,20 +248,25 @@ class Polynomial:
             da * (db // g),
         )
 
-    def __add__(self, other):
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
+    def _plus(self, other, sign):
+        # self + sign * other, merged into a copy of self's numerators:
+        # -other is never built, and other's new terms follow self's.
         terms, tb, den = self._aligned(other)
         get = terms.get
         for m, c in tb.items():
-            s = get(m, 0) + c
+            s = get(m, 0) + sign * c
             if s:
                 terms[m] = s
             else:
                 del terms[m]
         return Polynomial._reduced(self.nvars, terms, den)
+
+    def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return self._plus(other, 1)
 
     def __neg__(self):
         return Polynomial._raw(
@@ -269,21 +274,11 @@ class Polynomial:
         )
 
     def __sub__(self, other):
-        # self + (-other) without building -other: the same terms, values
-        # and insertion order.
         if not other.terms:
             return self
         if not self.terms:
             return -other
-        terms, tb, den = self._aligned(other)
-        get = terms.get
-        for m, c in tb.items():
-            s = get(m, 0) - c
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
-        return Polynomial._reduced(self.nvars, terms, den)
+        return self._plus(other, -1)
 
     def __mul__(self, other):
         ta, tb = self.terms, other.terms
@@ -1117,12 +1112,11 @@ def _kronecker_layout(n, base):
     and an itemgetter of those slots in the same order.  Its one index past
     the slots keeps even a one-slot gather a tuple; zip drops it."""
     slots = {}
-    for degree in range(base):
-        for mono in _monomials_of_degree(n, degree):
-            slot = 0
-            for e in mono:
-                slot = slot * base + e
-            slots[_pack(n, mono)] = slot
+    for mono, key in zip(_monomial_table(n, base - 1), _packed_table(n, base - 1)):
+        slot = 0
+        for e in mono:
+            slot = slot * base + e
+        slots[key] = slot
     return slots, itemgetter(*slots.values(), 0)
 
 

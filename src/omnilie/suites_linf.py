@@ -159,7 +159,7 @@ def _injectivity(label, basis, fn, coordinates, n):
                     raise ValueError("injectivity certificates expect polynomial entries")
                 col += [Scalar.from_fraction(n, s.num.coefficient(mono)) for mono in monos]
             cols.append(col)
-        rows = [[col[i] for col in cols] for i in range(len(cols[0]))]
+        rows = linalg.from_columns(cols)
         return CheckResult(linalg.rank(rows) == len(cols), {"error": "kernel found"})
 
     return Row(label, value)

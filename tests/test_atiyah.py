@@ -146,7 +146,7 @@ def test_basis_brackets_are_kept_on_the_derivation(monkeypatch):
     rng = random.Random(7)
     delta = random_derivation(2, rng, 2, 2)
     forms = [random_form(2, k, rng, 2, 2) for k in (0, 1, 2, 1)]
-    fresh = [lie_derivative(Derivation(delta.symbol_coeffs, delta.endo), omega) for omega in forms]
+    fresh = [lie_derivative(Derivation(delta.coeffs), omega) for omega in forms]
     build, built = atiyah._basis_brackets, []
 
     def counted(d, other):

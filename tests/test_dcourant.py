@@ -428,8 +428,8 @@ def test_derivations_keep_their_commutators_and_contractions():
     assert contract(d1, twist) == atiyah._contract(d1, twist)
     # an id taken over by an operand made of other objects misses, and by
     # one made of the same objects hits
-    shifted = Derivation(d2.symbol_coeffs, d2.endo + Scalar.variable(3, 1))
-    same = Derivation(d2.symbol_coeffs, d2.endo)
+    shifted = Derivation((*d2.coeffs[:-1], d2.coeffs[-1] + Scalar.variable(3, 1)))
+    same = Derivation(d2.coeffs)
     for operand in (shifted, same):
         d1._memo[id(operand)] = d1._memo[id(d2)]
     assert commutator(d1, shifted) == gauge._commutator(d1, shifted) != kept
@@ -476,7 +476,7 @@ def test_suite_level_objects_keep_nothing_of_a_case():
         rows += family.rows(0, family.count)
     assert rows and all(ok for _, ok, _ in rows)
     suite_level = [(omega,)]
-    suite_level += [(g.der.symbol_coeffs, g.der.endo) for g in xi.generators]
+    suite_level += [(g.der.coeffs,) for g in xi.generators]
     assert all(g.der._memo for g in xi.generators)
     for g in xi.generators:
         for parts, _ in g.der._memo.values():

@@ -110,7 +110,7 @@ def test_hamiltonian_derivation_examples():
     assert hamiltonian_derivation(AtiyahForm.basis(2, (2,)), gr).is_zero()
     x2 = Scalar.variable(2, 2)
     delta = hamiltonian_derivation(AtiyahForm(2, 1, {(0,): x2}), gr)
-    assert delta == Derivation((Scalar.zero(2), x2), -Scalar.one(2))
+    assert delta == Derivation((Scalar.zero(2), x2, -Scalar.one(2)))
     line = Subbundle([DSection(Derivation.unit(1), AtiyahForm.zero(1, 1))])
     with pytest.raises(NotHamiltonian):
         hamiltonian_derivation(AtiyahForm.basis(1, (0,)), line)
@@ -130,7 +130,7 @@ def test_observable_bracket_canonical_example():
     x = Scalar.variable(1, 1)
     hx = hamiltonian_form(x, gr1)
     h1 = hamiltonian_form(Scalar.one(1), gr1)
-    assert hx.ham_der == Derivation((x,), -Scalar.one(1))
+    assert hx.ham_der == Derivation((x, -Scalar.one(1)))
     assert observable_bracket(hx, h1).scalar() == -Scalar.one(1)
     assert observable_bracket(hx, hx).is_zero()
 
