@@ -112,7 +112,7 @@ class Polynomial:
 
     ``_memo`` is None or a list of ``nvars + 2`` entries, each None until
     first asked for: at 0 the last Kronecker image of the numerators as
-    ``((base, width), image)``, the image one int or a list of ints (see
+    ``((base, width), chunks)``, a list of one int per chunk (see
     :func:`_kronecker_sum`); at i in 1..nvars the partial derivative in
     x_i; at nvars + 1 the height, the largest absolute numerator.  All
     depend only on the polynomial.
@@ -905,11 +905,12 @@ def sum_of_products(n, terms):
 # encoding and decoding cost more than the dict loop saves.
 _KRONECKER_WORK = 256
 
-# A Kronecker box whose chunk, the slots of one exponent of x1, holds at
-# least this many bits is multiplied chunk by chunk.  Replayed on the
-# workloads' sums, chunks took 0.36-0.80 of the one integer's time from
-# 1,296 bits (n = 3, base 9, 16-bit slots), 0.92 at 1,024 bits, and lost
-# at 784 bits and below (1.08-1.38) and in every n = 2 box (2.0-2.4).
+# A Kronecker box whose slots under one exponent of x1 hold at least this
+# many bits is cut into chunks of those slots; any other box is one chunk.
+# Replayed on the workloads' sums, such chunks took 0.36-0.80 of the time
+# of one chunk per box from 1,296 bits (n = 3, base 9, 16-bit slots), 0.92
+# at 1,024 bits, and lost at 784 bits and below (1.08-1.38) and in every
+# n = 2 box (2.0-2.4).
 _KRONECKER_CHUNK = 1200
 
 # Kronecker slot widths in bits, each with the memoryview code of an
@@ -993,69 +994,28 @@ def _kronecker_sum(n, prods, den, top, width):
 
     A monomial of degree <= top goes to slot ``sum e_i (top + 1)^(n - i)``,
     so a product of monomials goes to the sum of their slots, and each
-    polynomial becomes one integer with its coefficients in ``width``-bit
-    slots.  The whole sum is then one big integer: one multiply per product,
-    read back once (Fateman 2010; Harvey, JSC 2009).  Each slot holds its
-    coefficient plus a bias of half its range, so no slot borrows from the
-    next: an image is written into a copy of a template whose every slot
-    holds the bias, and the sum is read back through one memoryview of its
-    bytes.  Each polynomial keeps its last image.
+    polynomial becomes a list of integers, its chunks, with its
+    coefficients in ``width``-bit slots (Fateman 2010; Harvey, JSC 2009).
+    A chunk is the whole box, unless the ``(top + 1)^(n - 1)`` slots of
+    x2..xn under one exponent of x1 hold at least ``_KRONECKER_CHUNK``
+    bits: only the total-degree simplex of the box is ever nonzero, and
+    one integer multiplies every slot of it.  Then chunk i holds the
+    slots under x1^i, and the list ends at the highest nonzero chunk.  A
+    product of two monomials adds their x1 exponents and, because its
+    degree stays below ``top + 1``, adds their x2..xn slots without a
+    carry past the chunk.  So a product of images is the convolution of
+    their chunk lists, added into one running integer per chunk.
 
-    Only the total-degree simplex of the box is ever nonzero, yet one
-    integer multiplies every slot of it.  So a box whose chunk of the
-    ``(top + 1)^(n - 1)`` slots of one exponent of x1 holds at least
-    ``_KRONECKER_CHUNK`` bits takes _chunked_sum, where an image is one
-    integer per exponent of x1.  Its output is the same dict.
+    Each slot holds its coefficient plus a bias of half its range, so no
+    slot borrows from the next: an image is written into copies of a
+    chunk whose every slot holds the bias, and the chunks' biased bytes,
+    joined in order, are read back through one memoryview and the
+    layout's gather.  Each polynomial keeps its last image.
     """
     base = top + 1
-    size = base ** (n - 1)
-    if size * width >= _KRONECKER_CHUNK:
-        return _chunked_sum(n, prods, den, base, size, width)
-    slots, gather = _kronecker_layout(n, base)
-    key = (base, width)
-    code = _SLOT_CODES[width]
-    half = 1 << (width - 1)
-    template = half.to_bytes(width >> 3, sys.byteorder) * (base * size)
-    bias = int.from_bytes(template, sys.byteorder)
-
-    def image(p):
-        memo = p._memo
-        if memo is None:
-            memo = p._memo = [None] * (n + 2)
-        elif memo[0] is not None and memo[0][0] == key:
-            return memo[0][1]
-        data = bytearray(template)
-        view = memoryview(data).cast(code)
-        for m, c in p.terms.items():
-            view[slots[m]] = c + half
-        x = int.from_bytes(data, sys.byteorder) - bias
-        memo[0] = (key, x)
-        return x
-
-    total = 0
-    for sign, p, q, d in prods:
-        x = image(p)
-        if q is not None:
-            x *= image(q)
-        total += (sign if d == den else sign * (den // d)) * x
-    data = (total + bias).to_bytes(len(template), sys.byteorder)
-    values = gather(memoryview(data).cast(code))
-    return {m: v - half for m, v in zip(slots, values) if v != half}
-
-
-def _chunked_sum(n, prods, den, base, size, width):
-    """_kronecker_sum with each image cut into chunks by the exponent of x1.
-
-    Chunk i of an image is the integer of the ``size`` slots of x2..xn
-    under x1^i, each biased as in the one-integer image, less the bias;
-    the list ends at the highest nonzero chunk.  A product of two
-    monomials adds their x1 exponents and, because its degree stays below
-    ``base``, adds their x2..xn slots without a carry past the chunk.  So
-    a product of images is the convolution of their chunk lists, added
-    into one running integer per exponent of x1.  Their biased bytes,
-    joined in order, are the one-integer layout, read through the same
-    gather.
-    """
+    lead = base ** (n - 1)  # slots under one exponent of x1
+    split = lead * width >= _KRONECKER_CHUNK  # one chunk per exponent of x1
+    size = lead if split else lead * base  # slots per chunk
     slots, gather = _kronecker_layout(n, base)
     key = (base, width)
     code = _SLOT_CODES[width]
@@ -1072,21 +1032,25 @@ def _chunked_sum(n, prods, den, base, size, width):
         elif memo[0] is not None and memo[0][0] == key:
             return memo[0][1]
         # no exponent of x1 passes the total degree
-        data = bytearray(chunk * ((max(p.terms) >> shift) + 1))
+        count = (split and max(p.terms) >> shift) + 1
+        data = bytearray(chunk * count)
         view = memoryview(data).cast(code)
         for m, c in p.terms.items():
             view[slots[m]] = c + half
-        view = memoryview(data)
-        x = [
-            int.from_bytes(view[i : i + step], sys.byteorder) - bias
-            for i in range(0, len(data), step)
-        ]
-        while not x[-1]:
-            x.pop()
+        if count == 1:
+            x = [int.from_bytes(data, sys.byteorder) - bias]
+        else:
+            view = memoryview(data)
+            x = [
+                int.from_bytes(view[i : i + step], sys.byteorder) - bias
+                for i in range(0, len(data), step)
+            ]
+            while not x[-1]:
+                x.pop()
         memo[0] = (key, x)
         return x
 
-    acc = [0] * base
+    acc = [0] * (base if split else 1)
     for sign, p, q, d in prods:
         scale = sign if d == den else sign * (den // d)
         xs = image(p)
@@ -1112,11 +1076,12 @@ def _kronecker_layout(n, base):
     and an itemgetter of those slots in the same order.  Its one index past
     the slots keeps even a one-slot gather a tuple; zip drops it."""
     slots = {}
-    for mono, key in zip(_monomial_table(n, base - 1), _packed_table(n, base - 1)):
-        slot = 0
-        for e in mono:
-            slot = slot * base + e
-        slots[key] = slot
+    for degree in range(base):
+        for mono in _monomials_of_degree(n, degree):
+            slot = 0
+            for e in mono:
+                slot = slot * base + e
+            slots[_pack(n, mono)] = slot
     return slots, itemgetter(*slots.values(), 0)
 
 

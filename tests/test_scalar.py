@@ -1,3 +1,4 @@
+import itertools
 import random
 from contextlib import contextmanager
 from decimal import Decimal
@@ -393,7 +394,8 @@ def test_sum_of_products_checks_the_degree_limit():
 
 class Taken(list):
     """The recorded arguments of the Kronecker sums, in order, and in
-    ``layouts`` the layout each one took: "int" or "chunked"."""
+    ``layouts`` the layout each one took: "int" when every image the
+    kernel kept is one chunk, else "chunked"."""
 
     def __init__(self):
         super().__init__()
@@ -404,25 +406,20 @@ class Taken(list):
 def kronecker_sums(arg=0):
     """Record the variable count (argument ``arg`` of the kernel; 4 is the
     slot width) of every sum that takes the Kronecker path, and its
-    layout: chunked when the kernel handed it to ``_chunked_sum``."""
+    layout, read from the chunk counts of its factors' images."""
     taken = Taken()
-    kernel, chunked = scalar._kronecker_sum, scalar._chunked_sum
-    chunks = []
+    kernel = scalar._kronecker_sum
 
     def counted(*args):
-        before = len(chunks)
         result = kernel(*args)
         taken.append(args[arg])
-        taken.layouts.append("chunked" if len(chunks) > before else "int")
+        factors = [f for _, p, q, _ in args[1] for f in (p, q) if f is not None]
+        chunks = max(len(f._memo[0][1]) for f in factors)
+        taken.layouts.append("chunked" if chunks > 1 else "int")
         return result
-
-    def counted_chunks(*args):
-        chunks.append(args)
-        return chunked(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scalar, "_kronecker_sum", counted)
-        mp.setattr(scalar, "_chunked_sum", counted_chunks)
         yield taken
 
 
@@ -483,7 +480,7 @@ def test_kronecker_sums_take_rational_weights(terms, weights):
 def bound_factors(box, c):
     """Factors whose sum of products has one coefficient at its slot bound.
 
-    "int": 256 equal products c * x1 in a box of 2^3 slots, one integer.
+    "int": 256 equal products c * x1 in a box of 2^3 slots, one chunk.
     "chunked": 64 equal products of c * (1 + x1 + x1^2 + x1^3) and
     (1 + x1 + ... + x1^5) * x3, each with coefficient 4c, the bound of a
     product of 4-term factors, at x1^3 x3, x1^4 x3 and x1^5 x3: a box of
@@ -645,26 +642,61 @@ def test_the_chunk_rule_sides():
 
 
 def test_an_image_follows_its_box_between_layouts():
-    # One polynomial takes part in a one-integer sum, a chunked sum and
-    # the first box again; its memo holds the image of the last box, as
-    # one int or a list of chunks, and its height.
+    # One polynomial takes part in a one-chunk sum, a chunked sum and the
+    # first box again; its memo holds the image of the last box, as a list
+    # of one chunk or of one chunk per exponent of x1, and its height.
     shared = dense(3, 4)
     one = [(1, shared, dense(3, 3, 1)), (-1, dense(3, 3, 2), shared)]
     chunked = [(1, shared, dense(3, 4, 1))]
-    for terms, base, kind in [(one, 8, int), (chunked, 9, list), (one, 8, int)]:
+    for terms, base, chunks in [(one, 8, 1), (chunked, 9, 5), (one, 8, 1)]:
         with kronecker_sums(4) as taken:
             total = sum_of_products(3, terms)
-        assert taken == [16] and taken.layouts == ["chunked" if kind is list else "int"]
+        assert taken == [16] and taken.layouts == ["chunked" if chunks > 1 else "int"]
         key, image = shared.num._memo[0]
-        assert key == (base, 16) and type(image) is kind
+        assert key == (base, 16) and type(image) is list and len(image) == chunks
         assert total == _left_to_right(3, terms)
     assert shared.num._memo[-1] == 3
 
 
-# For each variable count and slot width, the largest box that keeps one
-# integer and the smallest that is chunked, by base: (top + 1)^(n - 1)
+def test_kronecker_layouts_keep_no_monomial_table():
+    # Sums in three boxes that no layout holds, one chunk at n = 1 and 2
+    # and chunked at n = 3: each builds its layout and leaves the
+    # unbounded monomial tables as they were.
+    boxes = [(1, 130), (2, 11), (3, 5)]
+    sums = [(n, [(1, dense(n, degree), dense(n, degree - 1, 1))]) for n, degree in boxes]
+    scalar._kronecker_layout.cache_clear()
+    tables = (scalar._monomial_table, scalar._packed_table)
+    sizes = [table.cache_info().currsize for table in tables]
+    with kronecker_sums() as taken:
+        totals = [sum_of_products(n, terms) for n, terms in sums]
+    assert [table.cache_info().currsize for table in tables] == sizes
+    assert scalar._kronecker_layout.cache_info().misses == 3
+    assert taken == [1, 2, 3] and taken.layouts == ["int", "int", "chunked"]
+    for total, (n, terms) in zip(totals, sums):
+        assert total == _left_to_right(n, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kronecker_layouts_list_the_simplex_in_key_order(n):
+    # Each monomial of degree < base, in graded lexicographic order, at
+    # its slot sum e_i base^(n - i); the gather reads those slots.
+    for base in range(1, 12):
+        monos = sorted(
+            (m for m in itertools.product(range(base), repeat=n) if sum(m) < base),
+            key=lambda m: (sum(m), m),
+        )
+        slots, gather = scalar._kronecker_layout(n, base)
+        assert list(slots) == [scalar._pack(n, m) for m in monos]
+        expected = [sum(e * base ** (n - 1 - i) for i, e in enumerate(m)) for m in monos]
+        assert list(slots.values()) == expected
+        assert gather(range(base**n)) == (*expected, 0)
+
+
+# For each variable count and slot width, the largest box that is one
+# chunk and the smallest that is chunked, by base: (top + 1)^(n - 1)
 # slots of x2..xn per chunk, each ``width`` bits, either side of the rule.
 RULE_BOXES = {
+    (2, 64): (18, 19),
     (3, 8): (12, 13), (3, 16): (8, 9), (3, 32): (6, 7), (3, 64): (4, 5),
     (4, 8): (5, 6), (4, 16): (4, 5), (4, 32): (3, 4), (4, 64): (2, 3),
 }
@@ -719,16 +751,12 @@ def box_terms(draw, n, base, cap):
 SLOT_CAPS = {8: 1, 16: 2, 32: 60, 64: 10**5}
 
 
-@settings(max_examples=8, deadline=None)
-@given(st.data())
-@pytest.mark.parametrize("side", [0, 1])
-@pytest.mark.parametrize("n, width", sorted(RULE_BOXES))
-def test_kronecker_sums_either_side_of_the_chunk_rule(n, width, side, data):
-    # The sum runs at the drawn box's width: a slot wider than the bound
-    # asks holds the sum as well, so _slot_width is raised to ``width``,
-    # and a draw whose bound needs a wider slot is dropped.
-    base = RULE_BOXES[n, width][side]
-    terms = data.draw(box_terms(n, base, SLOT_CAPS[width]))
+def check_box_sum(n, width, terms, layout):
+    """The sum of ``terms`` at slot ``width`` takes ``layout`` and matches
+    the dict loop, Scalar arithmetic and ascending key order.  A slot
+    wider than the bound asks holds the sum as well, so _slot_width is
+    raised to ``width``, and a draw whose bound needs a wider slot is
+    dropped."""
     natural = scalar._slot_width
     needed = []
 
@@ -740,12 +768,33 @@ def test_kronecker_sums_either_side_of_the_chunk_rule(n, width, side, data):
         mp.setattr(scalar, "_slot_width", at_least)
         total = sum_of_products(n, terms)
     assume(0 < needed[0] <= width)
-    assert taken == [width] and taken.layouts == [["int", "chunked"][side]]
+    assert taken == [width] and taken.layouts == [layout]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scalar, "_KRONECKER_WORK", float("inf"))
         looped = sum_of_products(n, terms)
     assert total == looped == _left_to_right(n, terms)
     assert list(total.num.terms) == sorted(total.num.terms)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("n, width", sorted(RULE_BOXES))
+def test_kronecker_sums_either_side_of_the_chunk_rule(n, width, side, data):
+    base = RULE_BOXES[n, width][side]
+    terms = data.draw(box_terms(n, base, SLOT_CAPS[width]))
+    check_box_sum(n, width, terms, ["int", "chunked"][side])
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("width", sorted(SLOT_CAPS))
+def test_kronecker_sums_in_one_variable_take_one_chunk(width, data):
+    # At n = 1 the slots under one exponent of x1 are one slot, short of
+    # the rule at every width, so each box is one chunk.
+    base = data.draw(st.integers(2, 40))
+    terms = data.draw(box_terms(1, base, SLOT_CAPS[width]))
+    check_box_sum(1, width, terms, "int")
 
 
 def _product_by_items(a, b):
